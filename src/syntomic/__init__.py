@@ -44,7 +44,6 @@ from .zp import (
 from .zpn import (
     StepWitness,
     VanishingCertificate,
-    build_zpn_left_column,
     certify_vanishing,
     nygaard_truncation_bound,
     telescoping_step,
@@ -67,7 +66,6 @@ __all__ = [
     "VanishingCertificate",
     "bound_comparison",
     "build_zp_square",
-    "build_zpn_left_column",
     "certified_eliminate",
     "certify_vanishing",
     "check_image_membership",

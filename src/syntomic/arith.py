@@ -38,8 +38,6 @@ class PrimeContext:
             raise ValueError(f"p={self.p} is not prime")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.quotient and self.n < 1:
-            raise ValueError("quotient mode needs n >= 1")
 
     def f_weight(self, u: int) -> int:
         """Filtration weight of the envelope generator f_u."""

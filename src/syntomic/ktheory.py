@@ -162,16 +162,17 @@ def k_even_table(p: int, n: int, i_max: int, certificate=None) -> KTable:
         raise ValueError("need i_max >= 0")
     if certificate is None:
         certificate = certify_vanishing(p, n)
-    cert = _require_verified(p, n, certificate)
-    tower = h2_basis(p, n, certificate)
+    tower = h2_basis(p, n, certificate)  # re-verifies the certificate
+    cert = _as_cert_dict(certificate)
     sharp = (p - 1) * p ** (n - 2)
+    bott_weights = {(k + 1) * (p - 1) for k in range(p ** (n - 2))}
     tower_weights = {p + k * (p - 1) for k in range(p ** (n - 2))}
     used: set[str] = set()
     rows = []
     for i in range(i_max + 1):
         nz = i == 0 or (i % (p - 1) == 0 and 1 <= i <= sharp)
         if i >= 1:
-            alt = i in {(k + 1) * (p - 1) for k in range(p ** (n - 2))}
+            alt = i in bott_weights
             if alt != nz:
                 raise ArithmeticError(f"vanishing predicates disagree at i={i}")
             cls = (i + 1) in tower_weights

@@ -1,11 +1,13 @@
 """Certified linear algebra over F_p with partially known entries.
 
 Matrix entries are one of: a known residue, an unknown unit (certainly
-nonzero, value unknown), or a fully unknown residue.  Distinct symbolic
-entries are treated as algebraically independent.  Elimination only ever
-divides by certainly nonzero entries and only reports a rank when the
-outcome is forced for every consistent assignment of the unknowns; otherwise
-it reports INDETERMINATE together with the first blocking position.
+nonzero, value unknown), or a fully unknown residue.  Symbols carry no
+identity: every symbolic entry, even one that is the same shared object as
+another, stands for a value independent of all other entries, so no two
+symbols ever cancel (u - u is unknown).  Elimination only ever divides by
+certainly nonzero entries and only reports a rank when the outcome is forced
+for every consistent assignment of the unknowns; otherwise it reports
+INDETERMINATE together with the first blocking position.
 
 Columns of the square-complex differentials are filtration-graded series:
 finitely many explicit terms plus an optional tail of independent unknowns
@@ -14,11 +16,8 @@ from some degree on (the image of a truncation remainder).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterable
-
-_fresh = itertools.count(1)
 
 KNOWN = "known"
 UNIT = "unit"
@@ -32,25 +31,20 @@ INDETERMINATE = "INDETERMINATE"
 class Scalar:
     kind: str
     value: int = 0
-    ident: int = 0
 
     def __repr__(self) -> str:
         if self.kind == KNOWN:
             return f"<{self.value}>"
-        mark = "u" if self.kind == UNIT else "?"
-        return f"<{mark}{self.ident}>"
+        return "<u>" if self.kind == UNIT else "<?>"
+
+
+# the one unit symbol and the one unknown symbol, shared by every entry
+UNIT_ENTRY = Scalar(UNIT)
+UNKNOWN_ENTRY = Scalar(UNKNOWN)
 
 
 def known(v: int, p: int) -> Scalar:
     return Scalar(KNOWN, v % p)
-
-
-def fresh_unit() -> Scalar:
-    return Scalar(UNIT, ident=next(_fresh))
-
-
-def fresh_unknown() -> Scalar:
-    return Scalar(UNKNOWN, ident=next(_fresh))
 
 
 def is_known_zero(s: Scalar) -> bool:
@@ -68,15 +62,15 @@ def scalar_add(a: Scalar, b: Scalar, p: int) -> Scalar:
         return a
     if a.kind == KNOWN and b.kind == KNOWN:
         return known(a.value + b.value, p)
-    # a sum involving an independent unknown is a fresh unknown: no algebraic
-    # relation between distinct idents may be assumed, including cancellation
-    return fresh_unknown()
+    # a sum involving a symbol is unknown: no relation between symbols may be
+    # assumed, including cancellation
+    return UNKNOWN_ENTRY
 
 
 def scalar_neg(a: Scalar, p: int) -> Scalar:
     if a.kind == KNOWN:
         return known(-a.value, p)
-    return fresh_unit() if a.kind == UNIT else fresh_unknown()
+    return a
 
 
 def scalar_mul(a: Scalar, b: Scalar, p: int) -> Scalar:
@@ -85,8 +79,8 @@ def scalar_mul(a: Scalar, b: Scalar, p: int) -> Scalar:
     if a.kind == KNOWN and b.kind == KNOWN:
         return known(a.value * b.value, p)
     if certainly_nonzero(a) and certainly_nonzero(b):
-        return fresh_unit()
-    return fresh_unknown()
+        return UNIT_ENTRY
+    return UNKNOWN_ENTRY
 
 
 def scalar_div(a: Scalar, b: Scalar, p: int) -> Scalar:
@@ -98,8 +92,8 @@ def scalar_div(a: Scalar, b: Scalar, p: int) -> Scalar:
     if a.kind == KNOWN and b.kind == KNOWN:
         return known(a.value * pow(b.value, -1, p), p)
     if certainly_nonzero(a):
-        return fresh_unit()
-    return fresh_unknown()
+        return UNIT_ENTRY
+    return UNKNOWN_ENTRY
 
 
 @dataclass(frozen=True)
@@ -155,8 +149,9 @@ def series_window(
 def materialize(series: Series, degrees: Iterable[int]) -> dict[int, Scalar]:
     """Column entries of the series over the given row degrees.
 
-    Every tail row gets its own fresh unknown; explicit terms must sit on
-    listed rows (builders are responsible for window filtering).
+    Every tail row holds UNKNOWN_ENTRY, independent of every other entry like
+    all symbols; explicit terms must sit on listed rows (builders are
+    responsible for window filtering).
     """
     degset = set(degrees)
     col: dict[int, Scalar] = {}
@@ -167,7 +162,7 @@ def materialize(series: Series, degrees: Iterable[int]) -> dict[int, Scalar]:
     if series.tail_from is not None:
         for d in degset:
             if d >= series.tail_from:
-                col[d] = fresh_unknown()
+                col[d] = UNKNOWN_ENTRY
     return col
 
 
@@ -345,8 +340,16 @@ class CohomologyReport:
         return self.status == CERTIFIED
 
 
-def _row_key(tag: str, deg: int) -> tuple[str, int]:
-    return (tag, deg)
+def _column(
+    p: int, *parts: tuple[str, Series, list[int]], negate: bool = False
+) -> dict[Any, Scalar]:
+    """One eliminator column: each (corner tag, series, row degrees) part
+    materialized on its rows, keyed by (tag, degree), negated if asked."""
+    col: dict[Any, Scalar] = {}
+    for tag, series, degrees in parts:
+        for d, s in materialize(series, degrees).items():
+            col[(tag, d)] = scalar_neg(s, p) if negate else s
+    return col
 
 
 def square_cohomology(sq: SquareComplex) -> CohomologyReport:
@@ -356,32 +359,22 @@ def square_cohomology(sq: SquareComplex) -> CohomologyReport:
     bl_degs = [d for _, d in sq.bl]
     br_degs = [d for _, d in sq.br]
 
-    cols0: dict[Any, dict[Any, Scalar]] = {}
-    for k, _ in sq.tl:
-        col: dict[Any, Scalar] = {}
-        for d, s in materialize(sq.nabla_top[k], tr_degs).items():
-            col[_row_key(TR, d)] = s
-        for d, s in materialize(sq.v_left[k], bl_degs).items():
-            col[_row_key(BL, d)] = s
-        cols0[(0, k)] = col
+    cols0 = {
+        (0, k): _column(
+            p, (TR, sq.nabla_top[k], tr_degs), (BL, sq.v_left[k], bl_degs)
+        )
+        for k, _ in sq.tl
+    }
     rows1 = sorted(
-        [_row_key(TR, d) for d in tr_degs] + [_row_key(BL, d) for d in bl_degs],
+        [(TR, d) for d in tr_degs] + [(BL, d) for d in bl_degs],
         key=lambda rk: (rk[1], _ROW_RANK[rk[0]]),
     )
     elim0 = certified_eliminate(cols0, rows1, p)
 
-    cols1: dict[Any, dict[Any, Scalar]] = {}
-    for k, _ in sq.tr:
-        cols1[(0, k)] = {
-            _row_key(BR, d): s
-            for d, s in materialize(sq.v_right[k], br_degs).items()
-        }
+    cols1 = {(0, k): _column(p, (BR, sq.v_right[k], br_degs)) for k, _ in sq.tr}
     for m, _ in sq.bl:
-        cols1[(1, m)] = {
-            _row_key(BR, d): scalar_neg(s, p)
-            for d, s in materialize(sq.nabla_bot[m], br_degs).items()
-        }
-    rows2 = [_row_key(BR, d) for d in sorted(br_degs)]
+        cols1[(1, m)] = _column(p, (BR, sq.nabla_bot[m], br_degs), negate=True)
+    rows2 = [(BR, d) for d in sorted(br_degs)]
     elim1 = certified_eliminate(
         cols1, rows2, p, in_span=[(1, m) for m in sq.bl_in_span]
     )

@@ -228,6 +228,24 @@ def _greedy_membership(
     return (True, clears)
 
 
+def _reduce(
+    vec: dict[int, int], pivots: dict[int, dict[int, int]], p: int
+) -> dict[int, int]:
+    """Clear the lowest live row of vec against the pivot led there, until
+    that row has no pivot; returns the remainder (empty if fully reduced)."""
+    cur = {r: v % p for r, v in vec.items() if v % p}
+    while cur:
+        r = min(cur)
+        piv = pivots.get(r)
+        if piv is None:
+            break
+        factor = (cur[r] * pow(piv[r], -1, p)) % p
+        for rr, vv in piv.items():
+            cur[rr] = (cur.get(rr, 0) - factor * vv) % p
+        cur = {rr: vv for rr, vv in cur.items() if vv}
+    return cur
+
+
 def _dense_membership(
     p: int, n: int, units: dict[int, list[tuple[int, int]]]
 ) -> bool:
@@ -257,38 +275,13 @@ def _dense_membership(
                         ri = row_index[pos]
                         col[ri] = (col.get(ri, 0) + lam) % p
             cols.append({r: v % p for r, v in col.items() if v % p})
-    targetv = {row_index[(0, p ** (n - 1) - n)]: 1}
-    # eliminate the target against the columns
+    # echelonize the columns, then reduce the target against them
     pivots: dict[int, dict[int, int]] = {}
     for col in cols:
-        cur = dict(col)
-        while True:
-            live = [r for r, v in sorted(cur.items()) if v % p]
-            if not live:
-                break
-            r = live[0]
-            if r in pivots:
-                piv = pivots[r]
-                factor = (cur[r] * pow(piv[r], -1, p)) % p
-                for rr, vv in piv.items():
-                    cur[rr] = (cur.get(rr, 0) - factor * vv) % p
-                cur = {rr: vv for rr, vv in cur.items() if vv % p}
-            else:
-                pivots[r] = {rr: vv for rr, vv in cur.items() if vv % p}
-                break
-    cur = dict(targetv)
-    while True:
-        live = [r for r, v in sorted(cur.items()) if v % p]
-        if not live:
-            return True
-        r = live[0]
-        if r not in pivots:
-            return False
-        piv = pivots[r]
-        factor = (cur[r] * pow(piv[r], -1, p)) % p
-        for rr, vv in piv.items():
-            cur[rr] = (cur.get(rr, 0) - factor * vv) % p
-        cur = {rr: vv for rr, vv in cur.items() if vv % p}
+        cur = _reduce(col, pivots, p)
+        if cur:
+            pivots[min(cur)] = cur
+    return not _reduce({row_index[(0, p ** (n - 1) - n)]: 1}, pivots, p)
 
 
 @dataclass(frozen=True)

@@ -408,10 +408,13 @@ class WeightRow:
     generators: tuple[str, ...]
 
 
-def syntomic_basis_table(p: int, i_max: int) -> tuple[WeightRow, ...]:
-    """Named generators of the mod p syntomic cohomology in weights 0..i_max."""
+def syntomic_basis_table(
+    p: int, i_max: int, i_min: int = 0
+) -> tuple[WeightRow, ...]:
+    """Named generators of the mod p syntomic cohomology in weights
+    i_min..i_max."""
     rows = []
-    for i in range(i_max + 1):
+    for i in range(i_min, i_max + 1):
         rep = zp_cohomology(p, i)
         rows.append(
             WeightRow(

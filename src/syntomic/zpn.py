@@ -20,15 +20,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .arith import (
-    Monomial,
-    PrimeContext,
-    f_degree,
-    mixed_radix_monomial,
-    nygaard_e_power,
-    nygaard_f_valuation,
-)
-from .linalg import Series, fresh_unit, known, scalar_neg, series_window
+from .arith import Monomial, PrimeContext, f_degree
 from .zp import v1_bottom_action
 
 HIGH_FILTRATION = "HIGH_FILTRATION"
@@ -253,78 +245,3 @@ def v1_power_partial_representative(p: int, n: int) -> Monomial:
     if stepped != direct:
         raise ArithmeticError("Bott power representative mismatch")
     return direct
-
-
-@dataclass(frozen=True)
-class ZpnLeftColumn:
-    """Left column of the quotient-ring square in one weight, truncated.
-
-    tl lists (degree, monomial) for the Nygaard corner: in each filtration
-    degree the normal-form monomial times the E power needed for level i.
-    columns holds can - phi of each Nygaard element as a graded series over
-    the prism corner (degrees 0..bound-1).  blocked records degrees whose
-    can image would need the f_u^p rewrite; those columns carry no certified
-    leading term and are all-unknown tails.
-    """
-
-    p: int
-    n: int
-    weight: int
-    bound: int
-    tl: tuple[tuple[int, Monomial], ...]
-    bl: tuple[int, ...]
-    columns: dict[int, Series]
-    blocked: frozenset[int]
-
-
-def build_zpn_left_column(p: int, n: int, i: int, bound: int) -> ZpnLeftColumn:
-    ctx = PrimeContext(p, n, quotient=True)
-    if i < 0 or bound < 1:
-        raise ValueError("need weight >= 0 and bound >= 1")
-    tl = []
-    columns: dict[int, Series] = {}
-    blocked = set()
-    for j in range(bound):
-        m = mixed_radix_monomial(j, ctx)
-        a = nygaard_e_power(i, m, ctx)
-        tl.append((j, Monomial(e_pow=a, z_pow=m.z_pow, f_exp=m.f_exp)))
-        can_deg = a + j
-        # can: every E becomes z; fold z^n into f_0 while the f_0 exponent
-        # stays below p, otherwise the column has no certified leading term
-        z_total = a + m.z_pow
-        carry, z_rest = divmod(z_total, n)
-        e0 = dict(m.f_exp).get(0, 0) + carry
-        can_ok = e0 < p
-        if can_ok and carry:
-            fs = dict(m.f_exp)
-            fs[0] = e0
-            folded = Monomial(z_pow=z_rest, f_exp=tuple(sorted(fs.items())))
-            if folded != mixed_radix_monomial(can_deg, ctx):
-                raise ArithmeticError("folded can image is not in normal form")
-        nu = nygaard_f_valuation(m, ctx)
-        b = max(nu - i, 0)
-        if a + nu - i != b:
-            raise ArithmeticError("phi fails to consume the E power cleanly")
-        phi_deg = p * (j + b)
-        if m.f_exp:
-            phi_pairs = [(phi_deg, scalar_neg(fresh_unit(), p))]
-            tail = phi_deg + 1
-        else:
-            phi_pairs = [(phi_deg, known(-1, p))]
-            tail = None
-        if can_ok:
-            pairs = [(can_deg, known(1, p))] + phi_pairs
-            columns[j] = series_window(p, pairs, tail_from=tail, top=bound - 1)
-        else:
-            blocked.add(j)
-            columns[j] = series_window(p, [], tail_from=can_deg, top=bound - 1)
-    return ZpnLeftColumn(
-        p=p,
-        n=n,
-        weight=i,
-        bound=bound,
-        tl=tuple(tl),
-        bl=tuple(range(bound)),
-        columns=columns,
-        blocked=frozenset(blocked),
-    )

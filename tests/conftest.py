@@ -83,8 +83,10 @@ def _value(s, p, rng) -> int:
 def instantiate_square(sq, rng):
     """One concrete instantiation of both differentials of a square.
 
-    Free entries follow the symbolic model: knowns stay exact, unit ids get a
-    random nonzero value, unknown ids and tail rows get uniform values.
+    Free entries follow the symbolic model: knowns stay exact, and every
+    symbolic entry gets its own draw, whether or not it is the same shared
+    object as another: units a random nonzero value, unknowns (tail rows
+    included) a uniform value.
     Bottom columns marked in-span are not free; they are rebuilt from the
     square identity on their top-left partner, so every sample honors the
     span relation that the certified elimination assumes.  Nothing else is

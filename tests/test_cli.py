@@ -85,6 +85,15 @@ def test_certify_failing_samples_exit_two(tmp_path, monkeypatch, capsys):
     assert "samples=9/10" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_certify_rejects_samples_below_one(samples, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["certify", "--p", "2", "--n", "3", "--samples", samples]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --samples must be at least 1\n"
+    assert list(tmp_path.iterdir()) == []  # nothing written
+
+
 def test_ktable_csv_golden(capsys):
     assert main(["ktable", "--p", "3", "--n", "3", "--imax", "10",
                  "--format", "csv"]) == 0

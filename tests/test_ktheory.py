@@ -19,6 +19,7 @@ from syntomic.ktheory import (
     table_to_markdown,
     v1_nilpotence_order,
 )
+from syntomic.verifier import verify_certificate
 from syntomic.zpn import certify_vanishing
 
 
@@ -100,6 +101,20 @@ def test_certificate_must_match_and_verify():
         h2_basis(3, 3, certificate=tampered)
     with pytest.raises(TypeError):
         k_even_table(3, 3, 5, certificate=42)
+
+
+def test_k_even_table_verifies_its_certificate_once(monkeypatch):
+    calls = []
+
+    def counting(data):
+        calls.append(data)
+        return verify_certificate(data)
+
+    monkeypatch.setattr("syntomic.ktheory.verify_certificate", counting)
+    k_even_table(3, 3, 10)
+    assert len(calls) == 1
+    k_even_table(3, 3, 10, certificate=certify_vanishing(3, 3))
+    assert len(calls) == 2
 
 
 NILPOTENCE_ORDERS = {

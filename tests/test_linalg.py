@@ -8,13 +8,13 @@ from syntomic.linalg import (
     INDETERMINATE,
     KNOWN,
     UNIT,
+    UNIT_ENTRY,
     UNKNOWN,
+    UNKNOWN_ENTRY,
     Scalar,
     Series,
     certainly_nonzero,
     certified_eliminate,
-    fresh_unit,
-    fresh_unknown,
     is_known_zero,
     known,
     materialize,
@@ -39,8 +39,8 @@ def test_known_arithmetic_is_exact():
 
 def test_zero_is_identity_and_absorbing():
     p = 5
-    u = fresh_unit()
-    x = fresh_unknown()
+    u = UNIT_ENTRY
+    x = UNKNOWN_ENTRY
     z = known(0, p)
     assert scalar_add(z, u, p) is u
     assert scalar_add(x, z, p) is x
@@ -50,36 +50,39 @@ def test_zero_is_identity_and_absorbing():
 
 def test_sums_with_symbols_forget_identity():
     p = 5
-    u = fresh_unit()
+    u = UNIT_ENTRY
     s = scalar_add(u, known(1, p), p)
     assert s.kind == UNKNOWN  # a unit plus one may vanish
-    t = scalar_add(fresh_unknown(), fresh_unknown(), p)
+    t = scalar_add(UNKNOWN_ENTRY, UNKNOWN_ENTRY, p)
     assert t.kind == UNKNOWN
 
 
 def test_products_of_nonzeros_stay_nonzero():
     p = 5
-    u, v = fresh_unit(), fresh_unit()
-    assert scalar_mul(u, v, p).kind == UNIT
+    u = UNIT_ENTRY
+    assert scalar_mul(u, u, p).kind == UNIT
     assert scalar_mul(u, known(2, p), p).kind == UNIT
-    assert scalar_mul(u, fresh_unknown(), p).kind == UNKNOWN
-    assert certainly_nonzero(u) and not certainly_nonzero(fresh_unknown())
+    assert scalar_mul(u, UNKNOWN_ENTRY, p).kind == UNKNOWN
+    assert certainly_nonzero(u) and not certainly_nonzero(UNKNOWN_ENTRY)
 
 
-def test_fresh_symbols_are_distinct():
-    assert fresh_unit() != fresh_unit()
-    assert fresh_unknown() != fresh_unknown()
+def test_symbol_minus_the_same_shared_symbol_is_unknown():
+    # symbols carry no identity, so even one shared object never cancels
+    p = 5
+    for sym in (UNIT_ENTRY, UNKNOWN_ENTRY):
+        assert scalar_neg(sym, p) is sym
+        assert scalar_add(sym, scalar_neg(sym, p), p).kind == UNKNOWN
 
 
 def test_division_guards():
     p = 5
     with pytest.raises(ZeroDivisionError):
-        scalar_div(known(1, p), fresh_unknown(), p)
+        scalar_div(known(1, p), UNKNOWN_ENTRY, p)
     with pytest.raises(ZeroDivisionError):
         scalar_div(known(1, p), known(0, p), p)
-    assert scalar_div(fresh_unit(), fresh_unit(), p).kind == UNIT
-    assert scalar_div(fresh_unknown(), fresh_unit(), p).kind == UNKNOWN
-    assert is_known_zero(scalar_div(known(0, p), fresh_unit(), p))
+    assert scalar_div(UNIT_ENTRY, UNIT_ENTRY, p).kind == UNIT
+    assert scalar_div(UNKNOWN_ENTRY, UNIT_ENTRY, p).kind == UNKNOWN
+    assert is_known_zero(scalar_div(known(0, p), UNIT_ENTRY, p))
 
 
 # ----------------------------------------------------------------- series
@@ -119,8 +122,7 @@ def test_materialize_tail_rows_and_errors():
     col = materialize(s, [1, 2, 3, 5])
     assert col[1] == known(2, p)
     assert 2 not in col
-    assert col[3].kind == UNKNOWN and col[5].kind == UNKNOWN
-    assert col[3] != col[5]  # independent unknowns per row
+    assert all(col[d].kind == UNKNOWN for d in (3, 5))  # every tail row
     with pytest.raises(ValueError):
         materialize(s, [2, 3])  # explicit term with no row
 
@@ -129,13 +131,13 @@ def test_materialize_tail_rows_and_errors():
 
 
 def test_unit_pivot_certifies_rank_one():
-    res = certified_eliminate({"c": {"r": fresh_unit()}}, ["r"], 5)
+    res = certified_eliminate({"c": {"r": UNIT_ENTRY}}, ["r"], 5)
     assert res.status == CERTIFIED and res.rank == 1
     assert res.kernel_dim == 0 and bool(res)
 
 
 def test_single_unknown_is_indeterminate():
-    res = certified_eliminate({"c": {"r": fresh_unknown()}}, ["r"], 5)
+    res = certified_eliminate({"c": {"r": UNKNOWN_ENTRY}}, ["r"], 5)
     assert res.status == INDETERMINATE
     assert res.blocking == ("c", "r")
     assert not res
@@ -163,8 +165,8 @@ def test_bottom_row_example_weight_three():
 def test_unknown_interference_blocks_certification():
     p = 3
     cols = {
-        0: {1: known(1, p), 2: fresh_unknown()},
-        1: {2: fresh_unknown()},
+        0: {1: known(1, p), 2: UNKNOWN_ENTRY},
+        1: {2: UNKNOWN_ENTRY},
     }
     res = certified_eliminate(cols, [1, 2], p)
     assert res.status == INDETERMINATE
@@ -172,10 +174,23 @@ def test_unknown_interference_blocks_certification():
     assert res.blocking == (1, 2)
 
 
+def test_shared_unknown_object_does_not_cancel_across_columns():
+    # both columns hold the very same UNKNOWN_ENTRY on row 2; subtracting the
+    # pivot column must still leave an unknown there
+    p = 3
+    cols = {
+        0: {1: known(1, p), 2: UNKNOWN_ENTRY},
+        1: {1: known(1, p), 2: UNKNOWN_ENTRY},
+    }
+    res = certified_eliminate(cols, [1, 2], p)
+    assert res.status == INDETERMINATE
+    assert res.blocking == (1, 2)
+
+
 def test_pivot_row_cancellation_is_exact():
     # both columns share a unit lead; the second must resolve to zero
     p = 3
-    u = fresh_unit()
+    u = UNIT_ENTRY
     cols = {
         0: {1: u, 2: known(1, p)},
         1: {1: u, 2: known(1, p)},

@@ -2,10 +2,7 @@ import copy
 
 import pytest
 
-from syntomic.arith import Monomial, PrimeContext, mixed_radix_monomial
-from syntomic.zp import build_zp_square
 from syntomic.zpn import (
-    build_zpn_left_column,
     certify_vanishing,
     nygaard_truncation_bound,
     telescoping_step,
@@ -138,76 +135,6 @@ def test_v1_power_representative_two_routes_agree(p, n):
 def test_v1_power_representative_needs_n_two():
     with pytest.raises(ValueError):
         v1_power_partial_representative(3, 1)
-
-
-# ------------------------------------------------------------ left column
-
-
-def test_left_column_shapes():
-    lc = build_zpn_left_column(2, 2, 4, 8)
-    assert lc.bl == tuple(range(8))
-    assert [j for j, _ in lc.tl] == list(range(8))
-    ctx = PrimeContext(2, 2, quotient=True)
-    for j, m in lc.tl:
-        base = mixed_radix_monomial(j, ctx)
-        assert (m.z_pow, m.f_exp) == (base.z_pow, base.f_exp)
-
-
-def test_left_column_blocked_columns():
-    # columns whose can image would need the f_u^p rewrite carry no
-    # certified lead; frozen for (p, n, i) = (2, 2, 4) over degrees 0..7
-    lc = build_zpn_left_column(2, 2, 4, 8)
-    assert lc.blocked == frozenset({0, 1, 2, 3, 7})
-    # each blocked column is an all-unknown tail from its can degree; at
-    # degree 7 the can image already sits past the bound, so nothing is left
-    tails = {0: 4, 1: 5, 2: 5, 3: 6, 7: None}
-    for j, start in tails.items():
-        col = lc.columns[j]
-        assert col.terms == ()
-        assert col.tail_from == start
-    # an unblocked f-carrying column keeps its exact unit-led shape
-    col = lc.columns[4]
-    assert col.terms and col.terms[0][1].value == 1
-
-
-def test_left_column_pure_z_columns_match_base_ring():
-    # for n far beyond the bound every degree below it is a pure z power and
-    # the quotient columns agree with the base-ring horizontal map
-    for p, i, bound in [(3, 2, 6), (2, 3, 7), (5, 4, 9)]:
-        n = bound + i + 2
-        lc = build_zpn_left_column(p, n, i, bound)
-        base = build_zp_square(p, i)
-        for j in range(min(bound, i // (p - 1) + 1)):
-            want = tuple(
-                (d, s) for d, s in base.v_left[j].terms if d < bound
-            )
-            assert lc.columns[j].terms == want
-            assert j not in lc.blocked
-
-
-def test_left_column_exact_shapes():
-    # p = 3, n = 2, weight 2, degrees 0..8, frozen entry by entry
-    lc = build_zpn_left_column(3, 2, 2, 9)
-    assert lc.blocked == frozenset()
-    # pure z columns: exact can at a+j, exact known -1 phi at 3j
-    col = dict(lc.columns[0].terms)
-    assert col[2].value == 1 and col[0].value == 2  # -1 mod 3
-    assert lc.columns[0].tail_from is None
-    # degree 1 is the bott power z E^2: can and phi cancel on the nose
-    assert lc.columns[1].terms == () and lc.columns[1].tail_from is None
-    # degree 2 is f_0: unit-led can, unit phi coefficient, unknown tail
-    col2 = lc.columns[2]
-    assert col2.terms[0][0] == 3 and col2.terms[0][1].value == 1
-    deg, phi = col2.terms[1]
-    assert deg == 6 and phi.kind == "unit"
-    assert col2.tail_from == 7
-
-
-def test_left_column_rejects_bad_input():
-    with pytest.raises(ValueError):
-        build_zpn_left_column(3, 2, -1, 5)
-    with pytest.raises(ValueError):
-        build_zpn_left_column(3, 2, 2, 0)
 
 
 # --------------------------------------------------- verifier interplay
