@@ -6,7 +6,8 @@ Subcommands:
   ktable   even K-group vanishing table for Z/p^n
 
 Exit codes: 0 when everything demanded was certified/verified, 1 on usage or
-input errors, 2 when a result is indeterminate or a certificate fails.
+input errors, 2 when a result is indeterminate, a certificate fails or an
+internal cross-check fails.
 Outputs are byte-stable for a fixed seed: no timestamps, sorted keys, and
 all randomness drawn from the given seed.
 """
@@ -218,6 +219,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except ArithmeticError as exc:  # an internal cross-check failed
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

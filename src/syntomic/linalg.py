@@ -183,86 +183,116 @@ class EliminationResult:
         return self.status == CERTIFIED
 
 
+def _in_tail(tails: dict[Any, int], r: tuple[Any, int]) -> bool:
+    return r[0] in tails and r[1] >= tails[r[0]]
+
+
 def certified_eliminate(
-    columns: dict[Any, dict[Any, Scalar]],
-    row_order: list[Any],
+    columns: dict[Any, dict[Any, Series]],
+    row_order: list[tuple[Any, int]],
     p: int,
     in_span: Iterable[Any] = (),
 ) -> EliminationResult:
-    """Column elimination with certified pivots.
+    """Column elimination with certified pivots on graded columns.
+
+    A column holds one Series per corner tag and its rows are (tag, degree)
+    pairs.  A tail stands for an independent unknown on each row of its
+    corner from tail_from up; tails are never expanded into entries.
 
     Rows are visited once, in the given order.  At each row the lowest
     pivotless column with a certainly nonzero entry there becomes a pivot and
     is subtracted from every other pivotless column holding an entry on that
-    row (the pivot-row entry cancels exactly; other rows combine
-    conservatively).  Already-pivoted columns are never touched again: their
-    entries on later rows sit strictly below their own pivot row, so they
-    cannot damage the lower-triangular pivot minor that witnesses the rank.
+    row: the pivot-row entry cancels exactly, the other explicit terms
+    combine conservatively, each corner keeps the lower of the two tails, and
+    explicit terms that land inside a tail are absorbed by it.
+    Already-pivoted columns are never touched again: their entries on later
+    rows sit strictly below their own pivot row, so they cannot damage the
+    lower-triangular pivot minor that witnesses the rank.
+
+    A tail row reads as unknown until it becomes a pivot row.  From then on
+    every pivotless column is exactly zero there: each column with an entry
+    on that row was reduced against the pivot, and every later combination
+    is of columns that are zero there.
 
     Columns listed in in_span are known linear combinations of the remaining
     columns; they are excluded from pivoting and counted into the kernel.
 
-    The result is CERTIFIED when every remaining pivotless column has been
-    reduced to literal zero, which forces both the rank and the kernel
-    dimension for every consistent assignment of the symbolic entries.
+    The result is CERTIFIED when no pivotless column keeps an explicit term
+    or a tail on a row that is not a pivot row, which forces both the rank
+    and the kernel dimension for every consistent assignment of the symbolic
+    entries.
     """
     span = set(in_span)
     for c in span:
         if c not in columns:
             raise ValueError(f"in-span column {c!r} not among the columns")
-    work: dict[Any, dict[Any, Scalar]] = {}
-    for c, col in columns.items():
-        if c in span:
-            continue
-        work[c] = {r: s for r, s in col.items() if not is_known_zero(s)}
-    order = sorted(work)
+    rows = set(row_order)
+    # each working column: explicit terms keyed by row, tail_from by corner
+    work: dict[Any, tuple[dict[Any, Scalar], dict[Any, int]]] = {}
+    for c, parts in columns.items():
+        terms: dict[Any, Scalar] = {}
+        tails: dict[Any, int] = {}
+        for tag, series in parts.items():
+            for d, s in series.terms:
+                if (tag, d) not in rows:
+                    raise ValueError(f"explicit term at {(tag, d)!r} has no row")
+                terms[(tag, d)] = s
+            if series.tail_from is not None:
+                tails[tag] = series.tail_from
+        if c not in span:
+            work[c] = (terms, tails)
+
+    def entry(c: Any, r: tuple[Any, int]) -> Scalar | None:
+        """The entry of column c on a row that is not a pivot row."""
+        terms, tails = work[c]
+        e = terms.get(r)
+        return UNKNOWN_ENTRY if e is None and _in_tail(tails, r) else e
+
+    zero = known(0, p)
+    live = sorted(work)  # the pivotless columns, lowest first
     pivots: list[tuple[Any, Any]] = []
-    pivoted: set[Any] = set()
     for r in row_order:
         pivot_col = None
-        for c in order:
-            if c in pivoted:
-                continue
-            e = work[c].get(r)
+        for c in live:
+            e = work[c][0].get(r)  # a tail entry is never certainly nonzero
             if e is not None and certainly_nonzero(e):
                 pivot_col = c
                 break
         if pivot_col is None:
             continue
         pivots.append((r, pivot_col))
-        pivoted.add(pivot_col)
-        pcol = work[pivot_col]
-        pval = pcol[r]
-        for c in order:
-            if c in pivoted:
-                continue
-            e = work[c].get(r)
-            if e is None or is_known_zero(e):
+        live.remove(pivot_col)
+        pterms, ptails = work[pivot_col]
+        pval = pterms[r]
+        for c in live:
+            e = entry(c, r)
+            if e is None:
                 continue
             coef = scalar_div(e, pval, p)
+            terms, tails = work[c]
+            merged = dict(ptails)
+            for tag, start in tails.items():
+                merged[tag] = min(start, merged.get(tag, start))
             combined: dict[Any, Scalar] = {}
-            for rr in set(work[c]) | set(pcol):
-                if rr == r:
-                    continue  # exact cancellation at the pivot row
-                lhs = work[c].get(rr, known(0, p))
-                sub = scalar_mul(coef, pcol.get(rr, known(0, p)), p)
+            for rr in terms.keys() | pterms.keys():
+                if rr == r or _in_tail(merged, rr):
+                    continue  # cancelled at the pivot row, or absorbed by a tail
+                lhs = terms.get(rr, zero)
+                sub = scalar_mul(coef, pterms.get(rr, zero), p)
                 nv = scalar_add(lhs, scalar_neg(sub, p), p)
                 if not is_known_zero(nv):
                     combined[rr] = nv
-            work[c] = combined
+            work[c] = (combined, merged)
+    pivot_rows = {r for r, _ in pivots}
+    free_rows = [r for r in row_order if r not in pivot_rows]
     blocking = None
     kernel = []
-    for c in order:
-        if c in pivoted:
-            continue
-        leftover = work[c]
-        if leftover:
-            if blocking is None:
-                pos = {r: i for i, r in enumerate(row_order)}
-                first = min(leftover, key=lambda r: pos[r])
-                blocking = (c, first)
-        else:
+    for c in live:
+        first = next((r for r in free_rows if entry(c, r) is not None), None)
+        if first is None:
             kernel.append(c)
+        elif blocking is None:
+            blocking = (c, first)
     status = CERTIFIED if blocking is None else INDETERMINATE
     kernel.extend(sorted(span))
     return EliminationResult(
@@ -340,41 +370,22 @@ class CohomologyReport:
         return self.status == CERTIFIED
 
 
-def _column(
-    p: int, *parts: tuple[str, Series, list[int]], negate: bool = False
-) -> dict[Any, Scalar]:
-    """One eliminator column: each (corner tag, series, row degrees) part
-    materialized on its rows, keyed by (tag, degree), negated if asked."""
-    col: dict[Any, Scalar] = {}
-    for tag, series, degrees in parts:
-        for d, s in materialize(series, degrees).items():
-            col[(tag, d)] = scalar_neg(s, p) if negate else s
-    return col
-
-
 def square_cohomology(sq: SquareComplex) -> CohomologyReport:
     """Certified cohomology of the total complex of a square."""
     p = sq.p
-    tr_degs = [d for _, d in sq.tr]
-    bl_degs = [d for _, d in sq.bl]
-    br_degs = [d for _, d in sq.br]
-
-    cols0 = {
-        (0, k): _column(
-            p, (TR, sq.nabla_top[k], tr_degs), (BL, sq.v_left[k], bl_degs)
-        )
-        for k, _ in sq.tl
-    }
+    cols0 = {(0, k): {TR: sq.nabla_top[k], BL: sq.v_left[k]} for k, _ in sq.tl}
     rows1 = sorted(
-        [(TR, d) for d in tr_degs] + [(BL, d) for d in bl_degs],
+        [(TR, d) for _, d in sq.tr] + [(BL, d) for _, d in sq.bl],
         key=lambda rk: (rk[1], _ROW_RANK[rk[0]]),
     )
     elim0 = certified_eliminate(cols0, rows1, p)
 
-    cols1 = {(0, k): _column(p, (BR, sq.v_right[k], br_degs)) for k, _ in sq.tr}
+    # d1(x, y) = v_right(x) - nabla_bot(y); scaling a column by the unit -1
+    # moves no pivot, kernel column or blocking entry, so the sign is dropped
+    cols1 = {(0, k): {BR: sq.v_right[k]} for k, _ in sq.tr}
     for m, _ in sq.bl:
-        cols1[(1, m)] = _column(p, (BR, sq.nabla_bot[m], br_degs), negate=True)
-    rows2 = [(BR, d) for d in sorted(br_degs)]
+        cols1[(1, m)] = {BR: sq.nabla_bot[m]}
+    rows2 = sorted((BR, d) for _, d in sq.br)
     elim1 = certified_eliminate(
         cols1, rows2, p, in_span=[(1, m) for m in sq.bl_in_span]
     )
@@ -426,14 +437,6 @@ class TruncationCheck:
         return self.ok
 
 
-def _series_entries(s: Series, degrees: list[int]) -> list[int]:
-    """Degrees at which the series has any (known or tail) entry on the rows."""
-    out = [d for d, _ in s.terms]
-    if s.tail_from is not None:
-        out.extend(d for d in degrees if d >= s.tail_from)
-    return sorted(set(out))
-
-
 def verify_truncation(sq: SquareComplex, cutoffs: WindowCutoffs) -> TruncationCheck:
     """Check that basis elements beyond the cutoffs cannot affect cohomology.
 
@@ -458,7 +461,7 @@ def verify_truncation(sq: SquareComplex, cutoffs: WindowCutoffs) -> TruncationCh
         if deg <= cutoffs.tl:
             continue
         hseries = sq.v_left[k]
-        ent = _series_entries(hseries, bl_degs)
+        ent = sorted(materialize(hseries, bl_degs))
         if not hseries.terms or hseries.terms[0][1] != Scalar(KNOWN, 1 % sq.p):
             return fail((TL, k), "beyond column lost its exact unit leading term")
         lead = hseries.terms[0][0]
@@ -469,8 +472,7 @@ def verify_truncation(sq: SquareComplex, cutoffs: WindowCutoffs) -> TruncationCh
         ):
             return fail((TL, k), "leading term is not strictly minimal")
         leads.append(lead)
-        vent = _series_entries(sq.nabla_top[k], tr_degs)
-        if any(d <= cutoffs.tr for d in vent):
+        if any(d <= cutoffs.tr for d in materialize(sq.nabla_top[k], tr_degs)):
             return fail((TL, k), "vertical image enters the baseline window")
     if leads != list(range(cutoffs.bl + 1, cutoffs.bl + 1 + len(leads))):
         return fail((TL,), "beyond leading degrees are not consecutive")
@@ -480,7 +482,7 @@ def verify_truncation(sq: SquareComplex, cutoffs: WindowCutoffs) -> TruncationCh
         if deg <= cutoffs.tr:
             continue
         hseries = sq.v_right[k]
-        ent = _series_entries(hseries, br_degs)
+        ent = sorted(materialize(hseries, br_degs))
         if not hseries.terms or hseries.terms[0][1] != Scalar(KNOWN, 1 % sq.p):
             if ent:
                 return fail((TR, k), "beyond column lost its exact unit leading term")
@@ -499,7 +501,6 @@ def verify_truncation(sq: SquareComplex, cutoffs: WindowCutoffs) -> TruncationCh
     for m, deg in sq.bl:
         if deg <= cutoffs.bl:
             continue
-        ent = _series_entries(sq.nabla_bot[m], br_degs)
-        if any(d <= cutoffs.br for d in ent):
+        if any(d <= cutoffs.br for d in materialize(sq.nabla_bot[m], br_degs)):
             return fail((BL, m), "image enters the baseline window")
     return TruncationCheck(True, None, "stable")

@@ -174,10 +174,6 @@ def _name(*parts: str) -> str:
     return "*".join(live) if live else "1"
 
 
-def _rep(m: Monomial) -> str:
-    return mono_str(m)
-
-
 def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
     """The standard generator names in weight i, from the closed-form count.
 
@@ -195,7 +191,7 @@ def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
                 weight=i,
                 degree=0,
                 corner=TL,
-                rep=_rep(Monomial(e_pow=i, z_pow=k0, twist=i)),
+                rep=mono_str(Monomial(e_pow=i, z_pow=k0, twist=i)),
             )
         )
         out.append(
@@ -204,7 +200,7 @@ def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
                 weight=i,
                 degree=1,
                 corner=BL,
-                rep=_rep(Monomial(z_pow=p * k0, twist=i)),
+                rep=mono_str(Monomial(z_pow=p * k0, twist=i)),
             )
         )
     if i >= 1:
@@ -216,7 +212,7 @@ def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
                 weight=i,
                 degree=1,
                 corner=BL,
-                rep=_rep(Monomial(z_pow=j + p * k, twist=i)),
+                rep=mono_str(Monomial(z_pow=j + p * k, twist=i)),
             )
         )
     if i >= p and (i - 1) % (p - 1) == 0:
@@ -227,7 +223,7 @@ def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
                 weight=i,
                 degree=1,
                 corner=TR,
-                rep=_rep(
+                rep=mono_str(
                     Monomial(e_pow=i - 1, z_pow=kap, nabla=True, twist=i)
                 ),
             )
@@ -238,7 +234,7 @@ def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
                 weight=i,
                 degree=2,
                 corner=BR,
-                rep=_rep(
+                rep=mono_str(
                     Monomial(z_pow=p * (kap + 1) - 1, nabla=True, twist=i)
                 ),
             )
@@ -246,15 +242,20 @@ def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
     return tuple(out)
 
 
-def _match_generators(
-    p: int, i: int, rep: CohomologyReport, names: tuple[NamedClass, ...]
+def _check_named_dims(
+    rep: CohomologyReport, names: tuple[NamedClass, ...], what: str
 ) -> None:
-    """Tie each name to its certified elimination witness or fail loudly."""
-    by_deg = {d: sum(1 for c in names if c.degree == d) for d in (0, 1, 2)}
-    if (by_deg[0], by_deg[1], by_deg[2]) != (rep.h0, rep.h1, rep.h2):
+    """Fail loudly unless the names count, degree by degree, the certified dims."""
+    counts = tuple(sum(1 for c in names if c.degree == d) for d in (0, 1, 2))
+    if counts != rep.dims:
         raise ArithmeticError(
-            f"named basis does not match certified dims in weight {i}"
+            f"{what} does not match certified dims in weight {rep.weight}"
         )
+
+
+def _match_generators(p: int, i: int, rep: CohomologyReport) -> None:
+    """Tie each named class to its certified elimination witness or fail
+    loudly."""
     if i % (p - 1) == 0:
         k0 = i // (p - 1)
         if (0, k0) not in rep.d0.kernel_columns:
@@ -283,14 +284,9 @@ def zp_cohomology(p: int, i: int, extra: int = 0) -> CohomologyReport:
     if rep.status != CERTIFIED:
         return rep
     names = named_basis(p, i)
+    _check_named_dims(rep, names, "named basis")
     if extra == 0:
-        _match_generators(p, i, rep, names)
-    else:
-        counts = tuple(sum(1 for c in names if c.degree == d) for d in (0, 1, 2))
-        if counts != (rep.h0, rep.h1, rep.h2):
-            raise ArithmeticError(
-                f"named basis does not match certified dims in weight {i}"
-            )
+        _match_generators(p, i, rep)
     return replace(rep, generators=names)
 
 
@@ -361,7 +357,7 @@ def mod_v1_named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
                 weight=i,
                 degree=1,
                 corner=BL,
-                rep=_rep(Monomial(z_pow=p - 1, twist=i)),
+                rep=mono_str(Monomial(z_pow=p - 1, twist=i)),
             ),
         )
     if i == p:
@@ -371,14 +367,14 @@ def mod_v1_named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
                 weight=i,
                 degree=1,
                 corner=TR,
-                rep=_rep(Monomial(e_pow=i - 1, nabla=True, twist=i)),
+                rep=mono_str(Monomial(e_pow=i - 1, nabla=True, twist=i)),
             ),
             NamedClass(
                 name="del*lambda1",
                 weight=i,
                 degree=2,
                 corner=BR,
-                rep=_rep(Monomial(z_pow=p - 1, nabla=True, twist=i)),
+                rep=mono_str(Monomial(z_pow=p - 1, nabla=True, twist=i)),
             ),
         )
     return ()
@@ -390,11 +386,7 @@ def mod_v1_cohomology(p: int, i: int) -> CohomologyReport:
     if rep.status != CERTIFIED:
         return rep
     names = mod_v1_named_basis(p, i)
-    counts = tuple(sum(1 for c in names if c.degree == d) for d in (0, 1, 2))
-    if counts != (rep.h0, rep.h1, rep.h2):
-        raise ArithmeticError(
-            f"reduced named basis does not match certified dims in weight {i}"
-        )
+    _check_named_dims(rep, names, "reduced named basis")
     return replace(rep, generators=names)
 
 

@@ -3,12 +3,27 @@
 Everything here is deliberately independent of the engine internals: the
 dimension oracle is the closed-form weight pattern, and ranks of sampled
 instantiations are computed by plain dense Gaussian elimination over F_p.
-The engine is only trusted to hand over its symbolic column data.
+The engine is only trusted to hand over its symbolic column data.  The one
+symbolic oracle, reference_eliminate, runs the engine's pivot rule on dict
+columns with every tail expanded into per-row unknowns; it shares only the
+scalar algebra with the engine.
 """
 
 import pytest
 
-from syntomic.linalg import materialize
+from syntomic.linalg import (
+    CERTIFIED,
+    INDETERMINATE,
+    EliminationResult,
+    certainly_nonzero,
+    is_known_zero,
+    known,
+    materialize,
+    scalar_add,
+    scalar_div,
+    scalar_mul,
+    scalar_neg,
+)
 
 ACCEPTANCE_LINES = []
 
@@ -214,3 +229,116 @@ def known_square_identity_holds(sq) -> bool:
             if via_top != via_bot:
                 return False
     return True
+
+
+def reference_eliminate(columns, row_order, p, in_span=()):
+    """Certified elimination on dict columns {row: Scalar}, tails expanded.
+
+    The same pivot rule as the engine: rows in the given order, the lowest
+    pivotless column with a certainly nonzero entry pivots and is subtracted
+    from every other pivotless column with an entry on that row.
+    """
+    span = set(in_span)
+    for c in span:
+        if c not in columns:
+            raise ValueError(f"in-span column {c!r} not among the columns")
+    work = {
+        c: {r: s for r, s in col.items() if not is_known_zero(s)}
+        for c, col in columns.items()
+        if c not in span
+    }
+    order = sorted(work)
+    pivots = []
+    pivoted = set()
+    for r in row_order:
+        pivot_col = None
+        for c in order:
+            if c in pivoted:
+                continue
+            e = work[c].get(r)
+            if e is not None and certainly_nonzero(e):
+                pivot_col = c
+                break
+        if pivot_col is None:
+            continue
+        pivots.append((r, pivot_col))
+        pivoted.add(pivot_col)
+        pcol = work[pivot_col]
+        pval = pcol[r]
+        for c in order:
+            if c in pivoted:
+                continue
+            e = work[c].get(r)
+            if e is None or is_known_zero(e):
+                continue
+            coef = scalar_div(e, pval, p)
+            combined = {}
+            for rr in set(work[c]) | set(pcol):
+                if rr == r:
+                    continue  # exact cancellation at the pivot row
+                lhs = work[c].get(rr, known(0, p))
+                sub = scalar_mul(coef, pcol.get(rr, known(0, p)), p)
+                nv = scalar_add(lhs, scalar_neg(sub, p), p)
+                if not is_known_zero(nv):
+                    combined[rr] = nv
+            work[c] = combined
+    blocking = None
+    kernel = []
+    pos = {r: i for i, r in enumerate(row_order)}
+    for c in order:
+        if c in pivoted:
+            continue
+        if work[c]:
+            if blocking is None:
+                blocking = (c, min(work[c], key=lambda r: pos[r]))
+        else:
+            kernel.append(c)
+    kernel.extend(sorted(span))
+    return EliminationResult(
+        status=CERTIFIED if blocking is None else INDETERMINATE,
+        rank=len(pivots),
+        total_columns=len(columns),
+        pivots=tuple(pivots),
+        kernel_columns=tuple(kernel),
+        blocking=blocking,
+    )
+
+
+def materialized_column(parts, row_order, p, negate=False):
+    """A graded column {tag: Series} as a dict column keyed by (tag, degree)
+    over the rows of row_order, tails expanded, negated if asked."""
+    col = {}
+    for tag, series in parts.items():
+        degrees = [d for t, d in row_order if t == tag]
+        for d, s in materialize(series, degrees).items():
+            col[(tag, d)] = scalar_neg(s, p) if negate else s
+    return col
+
+
+def reference_square_eliminations(sq):
+    """d0 and d1 of a square by reference_eliminate, columns built on
+    materialized tails with nabla_bot negated as d1 = v_right - nabla_bot."""
+    p = sq.p
+    rows1 = sorted(
+        [("TR", d) for _, d in sq.tr] + [("BL", d) for _, d in sq.bl],
+        key=lambda rk: (rk[1], {"TR": 0, "BL": 1}[rk[0]]),
+    )
+    cols0 = {
+        (0, k): materialized_column(
+            {"TR": sq.nabla_top[k], "BL": sq.v_left[k]}, rows1, p
+        )
+        for k, _ in sq.tl
+    }
+    rows2 = [("BR", d) for d in sorted(d for _, d in sq.br)]
+    cols1 = {
+        (0, k): materialized_column({"BR": sq.v_right[k]}, rows2, p)
+        for k, _ in sq.tr
+    }
+    for m, _ in sq.bl:
+        cols1[(1, m)] = materialized_column(
+            {"BR": sq.nabla_bot[m]}, rows2, p, negate=True
+        )
+    return (
+        reference_eliminate(cols0, rows1, p),
+        reference_eliminate(cols1, rows2, p, in_span=[(1, m) for m in sq.bl_in_span]),
+    )

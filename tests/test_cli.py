@@ -120,3 +120,39 @@ def test_outputs_are_byte_deterministic(argv, tmp_path, monkeypatch, capsys):
     first = (tmp_path / "first.out").read_bytes()
     assert first == (tmp_path / "second.out").read_bytes()
     assert first  # nonempty
+
+
+@pytest.mark.parametrize(
+    "target, fake, argv, message",
+    [
+        (
+            "syntomic.zp.named_basis",
+            lambda p, i: (),
+            ["zp", "--p", "3", "--weights", "0..2"],
+            "named basis does not match certified dims in weight 0",
+        ),
+        (
+            "syntomic.verifier._dense_membership",
+            lambda p, n, units: None,
+            ["certify", "--p", "2", "--n", "3", "--samples", "5"],
+            "greedy and dense membership disagree on a sample",
+        ),
+        (
+            "syntomic.ktheory.named_basis",
+            lambda p, w: (),
+            ["ktable", "--p", "2", "--n", "3", "--imax", "4"],
+            "expected one H^2 class in weight 2",
+        ),
+    ],
+    ids=["zp", "certify", "ktable"],
+)
+def test_failed_cross_check_exits_two(
+    target, fake, argv, message, tmp_path, monkeypatch, capsys
+):
+    # a broken internal cross-check is a failed result, not a traceback
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(target, fake)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []  # nothing written

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from conftest import fp_rank
+from conftest import (
+    fp_rank,
+    materialized_column,
+    reference_eliminate,
+    reference_square_eliminations,
+)
 from syntomic.linalg import (
     CERTIFIED,
     INDETERMINATE,
@@ -23,7 +28,11 @@ from syntomic.linalg import (
     scalar_mul,
     scalar_neg,
     series_window,
+    square_cohomology,
 )
+from syntomic.zp import build_zp_square, mod_v1_square
+
+PRIMES = (2, 3, 5, 7)
 
 
 # ---------------------------------------------------------------- scalars
@@ -130,16 +139,25 @@ def test_materialize_tail_rows_and_errors():
 # ----------------------------------------------------------- elimination
 
 
+def _col(*terms, tag="R", tail=None):
+    """A graded column with one corner: explicit (degree, scalar) terms."""
+    return {tag: Series(terms=tuple(terms), tail_from=tail)}
+
+
+def _rows(*degrees, tag="R"):
+    return [(tag, d) for d in degrees]
+
+
 def test_unit_pivot_certifies_rank_one():
-    res = certified_eliminate({"c": {"r": UNIT_ENTRY}}, ["r"], 5)
+    res = certified_eliminate({"c": _col((0, UNIT_ENTRY))}, _rows(0), 5)
     assert res.status == CERTIFIED and res.rank == 1
     assert res.kernel_dim == 0 and bool(res)
 
 
 def test_single_unknown_is_indeterminate():
-    res = certified_eliminate({"c": {"r": UNKNOWN_ENTRY}}, ["r"], 5)
+    res = certified_eliminate({"c": _col((0, UNKNOWN_ENTRY))}, _rows(0), 5)
     assert res.status == INDETERMINATE
-    assert res.blocking == ("c", "r")
+    assert res.blocking == ("c", ("R", 0))
     assert not res
 
 
@@ -155,8 +173,8 @@ def test_bottom_row_example_weight_three():
             if m == 0
             else series_window(p, [(m, known(m, p))], tail_from=m + 1, top=top)
         )
-        cols[m] = materialize(series, [1, 2])
-    res = certified_eliminate(cols, [1, 2], p)
+        cols[m] = {"R": series}
+    res = certified_eliminate(cols, _rows(1, 2), p)
     assert res.status == CERTIFIED
     assert res.rank == 2
     assert res.kernel_columns == (0, 3)
@@ -165,13 +183,13 @@ def test_bottom_row_example_weight_three():
 def test_unknown_interference_blocks_certification():
     p = 3
     cols = {
-        0: {1: known(1, p), 2: UNKNOWN_ENTRY},
-        1: {2: UNKNOWN_ENTRY},
+        0: _col((1, known(1, p)), (2, UNKNOWN_ENTRY)),
+        1: _col((2, UNKNOWN_ENTRY)),
     }
-    res = certified_eliminate(cols, [1, 2], p)
+    res = certified_eliminate(cols, _rows(1, 2), p)
     assert res.status == INDETERMINATE
     assert res.rank == 1  # the known pivot still counts
-    assert res.blocking == (1, 2)
+    assert res.blocking == (1, ("R", 2))
 
 
 def test_shared_unknown_object_does_not_cancel_across_columns():
@@ -179,12 +197,12 @@ def test_shared_unknown_object_does_not_cancel_across_columns():
     # pivot column must still leave an unknown there
     p = 3
     cols = {
-        0: {1: known(1, p), 2: UNKNOWN_ENTRY},
-        1: {1: known(1, p), 2: UNKNOWN_ENTRY},
+        0: _col((1, known(1, p)), (2, UNKNOWN_ENTRY)),
+        1: _col((1, known(1, p)), (2, UNKNOWN_ENTRY)),
     }
-    res = certified_eliminate(cols, [1, 2], p)
+    res = certified_eliminate(cols, _rows(1, 2), p)
     assert res.status == INDETERMINATE
-    assert res.blocking == (1, 2)
+    assert res.blocking == (1, ("R", 2))
 
 
 def test_pivot_row_cancellation_is_exact():
@@ -192,16 +210,16 @@ def test_pivot_row_cancellation_is_exact():
     p = 3
     u = UNIT_ENTRY
     cols = {
-        0: {1: u, 2: known(1, p)},
-        1: {1: u, 2: known(1, p)},
+        0: _col((1, u), (2, known(1, p))),
+        1: _col((1, u), (2, known(1, p))),
     }
-    res = certified_eliminate(cols, [1, 2], p)
+    res = certified_eliminate(cols, _rows(1, 2), p)
     assert res.status == INDETERMINATE  # 1 - (u/u)*1 is not known to vanish
     cols = {
-        0: {1: known(2, p), 2: known(1, p)},
-        1: {1: known(2, p), 2: known(1, p)},
+        0: _col((1, known(2, p)), (2, known(1, p))),
+        1: _col((1, known(2, p)), (2, known(1, p))),
     }
-    res = certified_eliminate(cols, [1, 2], p)
+    res = certified_eliminate(cols, _rows(1, 2), p)
     assert res.status == CERTIFIED and res.rank == 1
     assert res.kernel_columns == (1,)
 
@@ -209,15 +227,15 @@ def test_pivot_row_cancellation_is_exact():
 def test_in_span_columns_count_into_kernel():
     p = 3
     cols = {
-        "a": {1: known(1, p)},
-        "b": {1: known(2, p)},
+        "a": _col((1, known(1, p))),
+        "b": _col((1, known(2, p))),
     }
-    res = certified_eliminate(cols, [1], p, in_span=["b"])
+    res = certified_eliminate(cols, _rows(1), p, in_span=["b"])
     assert res.status == CERTIFIED
     assert res.rank == 1 and res.total_columns == 2
     assert res.kernel_columns == ("b",)
     with pytest.raises(ValueError):
-        certified_eliminate(cols, [1], p, in_span=["missing"])
+        certified_eliminate(cols, _rows(1), p, in_span=["missing"])
 
 
 def test_certified_rank_matches_dense_rank_on_known_matrices():
@@ -228,17 +246,20 @@ def test_certified_rank_matches_dense_rank_on_known_matrices():
             rows = rng.randrange(1, 6)
             ncols = rng.randrange(1, 6)
             cols = {
-                c: {
-                    r: known(v, p)
-                    for r in range(rows)
-                    if (v := rng.randrange(p))
-                }
+                c: _col(
+                    *(
+                        (r, known(v, p))
+                        for r in range(rows)
+                        if (v := rng.randrange(p))
+                    )
+                )
                 for c in range(ncols)
             }
-            res = certified_eliminate(cols, list(range(rows)), p)
+            res = certified_eliminate(cols, _rows(*range(rows)), p)
             assert res.status == CERTIFIED
             dense = fp_rank(
-                [{r: s.value for r, s in col.items()} for col in cols.values()], p
+                [{r: s.value for r, s in col["R"].terms} for col in cols.values()],
+                p,
             )
             assert res.rank == dense
             assert res.kernel_dim == ncols - dense
@@ -247,7 +268,119 @@ def test_certified_rank_matches_dense_rank_on_known_matrices():
 def test_row_order_is_respected():
     # the pivot choice scans rows in the order given, degree first
     p = 5
-    cols = {0: {("TR", 2): known(1, p), ("BL", 1): known(1, p)}}
+    cols = {
+        0: {
+            "TR": Series(terms=((2, known(1, p)),)),
+            "BL": Series(terms=((1, known(1, p)),)),
+        }
+    }
     rows = [("BL", 1), ("TR", 2)]
     res = certified_eliminate(cols, rows, p)
     assert res.pivots == ((("BL", 1), 0),)
+
+
+def test_explicit_term_with_no_row_is_rejected():
+    p = 3
+    with pytest.raises(ValueError, match="has no row"):
+        certified_eliminate({0: _col((3, known(1, p)))}, _rows(1, 2), p)
+    with pytest.raises(ValueError, match="has no row"):  # row of another corner
+        certified_eliminate({0: _col((1, known(1, p)), tag="S")}, _rows(1), p)
+
+
+def test_tail_on_a_pivot_row_resolves_to_kernel():
+    # column 1 is a bare tail whose only row becomes column 0's pivot row:
+    # reduced there, it is exactly zero, so nothing is left to block
+    p = 3
+    cols = {0: _col((1, known(1, p))), 1: _col(tail=1)}
+    res = certified_eliminate(cols, _rows(1), p)
+    assert res.status == CERTIFIED
+    assert res.pivots == ((("R", 1), 0),)
+    assert res.kernel_columns == (1,)
+
+
+def test_tail_inherited_from_the_pivot_column_blocks_at_its_first_free_row():
+    # column 1 has no tail of its own; reducing it against column 0 brings in
+    # column 0's tail from degree 3, which no later row can pivot away
+    p = 3
+    cols = {
+        0: _col((1, known(1, p)), tail=3),
+        1: _col((1, known(2, p))),
+    }
+    res = certified_eliminate(cols, _rows(1, 2, 3, 4), p)
+    assert res.status == INDETERMINATE
+    assert res.rank == 1
+    assert res.blocking == (1, ("R", 3))
+
+
+# ------------------------------------------------- differential reference
+
+
+def _fields(res):
+    return (res.status, res.rank, res.total_columns, res.pivots,
+            res.kernel_columns, res.blocking)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_square_eliminations_match_the_reference(p):
+    squares = [
+        build_zp_square(p, i, extra) for i in range(3 * p + 1) for extra in (0, 1, 2)
+    ] + [mod_v1_square(p, i) for i in range(2 * p + 2)]
+    for sq in squares:
+        rep = square_cohomology(sq)
+        ref0, ref1 = reference_square_eliminations(sq)
+        assert _fields(rep.d0) == _fields(ref0), sq.label
+        assert _fields(rep.d1) == _fields(ref1), sq.label
+
+
+def _random_graded_matrix(rng):
+    """Columns of one or two corners mixing known, unit and unknown terms,
+    with tails, over a shuffled or a degree-sorted row order."""
+    p = rng.choice((2, 3, 5))
+    tags = ("A", "B")[: rng.randint(1, 2)]
+    degrees = {t: sorted(rng.sample(range(8), rng.randint(1, 5))) for t in tags}
+    rows = [(t, d) for t in tags for d in degrees[t]]
+    if rng.random() < 0.5:
+        rng.shuffle(rows)
+    else:
+        rows.sort(key=lambda r: (r[1], r[0]))
+    cols = {}
+    for c in range(rng.randint(1, 8)):
+        parts = {}
+        for t in tags:
+            if rng.random() < 0.2:
+                continue
+            tail = None
+            if rng.random() < 0.5:
+                tail = rng.choice(degrees[t] + [degrees[t][-1] + 1])
+            terms = []
+            for d in degrees[t]:
+                x = rng.random()
+                if (tail is not None and d >= tail) or x < 0.4:
+                    continue
+                if x < 0.7:
+                    terms.append((d, known(rng.randrange(1, p), p)))
+                else:
+                    terms.append((d, UNIT_ENTRY if x < 0.88 else UNKNOWN_ENTRY))
+            parts[t] = Series(terms=tuple(terms), tail_from=tail)
+        cols[c] = parts
+    span = [c for c in cols if rng.random() < 0.15]
+    return p, cols, rows, span
+
+
+def test_random_graded_matrices_match_the_reference():
+    rng = random.Random(2024)
+    statuses = {CERTIFIED: 0, INDETERMINATE: 0}
+    tailed_corners = {0: 0, 1: 0, 2: 0}
+    for _ in range(2000):
+        p, cols, rows, span = _random_graded_matrix(rng)
+        res = certified_eliminate(cols, rows, p, in_span=span)
+        flat = {c: materialized_column(parts, rows, p) for c, parts in cols.items()}
+        assert _fields(res) == _fields(reference_eliminate(flat, rows, p, span))
+        statuses[res.status] += 1
+        tails = {
+            t for parts in cols.values() for t, s in parts.items()
+            if s.tail_from is not None
+        }
+        tailed_corners[len(tails)] += 1
+    # both outcomes, and tails in no, one and two corners, are well sampled
+    assert min(statuses.values()) > 500 and min(tailed_corners.values()) > 200
