@@ -11,7 +11,6 @@ from .arith import (
     PrimeContext,
     f_degree,
     mixed_radix_monomial,
-    nygaard_e_power,
 )
 from .ktheory import (
     bound_comparison,
@@ -77,7 +76,6 @@ __all__ = [
     "mod_v1_cohomology",
     "mod_v1_square",
     "named_basis",
-    "nygaard_e_power",
     "nygaard_truncation_bound",
     "sample_certificate",
     "square_cohomology",

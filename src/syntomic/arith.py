@@ -45,10 +45,6 @@ class PrimeContext:
             raise ValueError("f generators exist only in quotient mode")
         return self.n * self.p**u
 
-    def nygaard_f_weight(self, u: int) -> int:
-        """Nygaard weight of f_u."""
-        return self.p**u
-
 
 @dataclass(frozen=True)
 class Monomial:
@@ -86,11 +82,6 @@ def f_degree(m: Monomial, ctx: PrimeContext) -> int:
     return deg
 
 
-def nygaard_f_valuation(m: Monomial, ctx: PrimeContext) -> int:
-    """Total Nygaard weight carried by the f-part of m."""
-    return sum(c * ctx.nygaard_f_weight(u) for u, c in m.f_exp)
-
-
 def mixed_radix_monomial(j: int, ctx: PrimeContext) -> Monomial:
     """The unique E-free, nabla-free monomial basis element of filtration degree j.
 
@@ -111,16 +102,6 @@ def mixed_radix_monomial(j: int, ctx: PrimeContext) -> Monomial:
             fs.append((u, digit))
         u += 1
     return Monomial(z_pow=k, f_exp=tuple(fs))
-
-
-def nygaard_e_power(j_target: int, m: Monomial, ctx: PrimeContext) -> int:
-    """E-power needed to put the E-free monomial m into Nygaard level j_target.
-
-    Equals max(j_target - nygaard weight of m, 0); the z-part needs no E.
-    """
-    if m.e_pow:
-        raise ValueError("m must be E-free")
-    return max(j_target - nygaard_f_valuation(m, ctx), 0)
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:

@@ -103,6 +103,14 @@ class H2Tower:
         return self.classes[k]
 
 
+def _h2_class(p: int, w: int) -> NamedClass:
+    """The one named H^2 class in weight w, or fail loudly."""
+    matches = [c for c in named_basis(p, w) if c.degree == 2]
+    if len(matches) != 1:
+        raise ArithmeticError(f"expected one H^2 class in weight {w}")
+    return matches[0]
+
+
 def h2_basis(p: int, n: int, certificate=None) -> H2Tower:
     """The del lambda1 Bott tower spanning positive-weight H^2 for Z/p^n.
 
@@ -117,15 +125,8 @@ def h2_basis(p: int, n: int, certificate=None) -> H2Tower:
     if certificate is None:
         certificate = certify_vanishing(p, n)
     _require_verified(p, n, certificate)
-    out = []
-    for k in range(p ** (n - 2)):
-        w = p + k * (p - 1)
-        matches = [c for c in named_basis(p, w) if c.degree == 2]
-        if len(matches) != 1:
-            raise ArithmeticError(f"expected one H^2 class in weight {w}")
-        out.append(matches[0])
     return H2Tower(
-        classes=tuple(out),
+        classes=tuple(_h2_class(p, p + k * (p - 1)) for k in range(p ** (n - 2))),
         axioms=axiom_catalog({HLS_SURJECTIVITY, HLS_CRYSTALLINITY}),
     )
 
@@ -162,11 +163,12 @@ def k_even_table(p: int, n: int, i_max: int, certificate=None) -> KTable:
         raise ValueError("need i_max >= 0")
     if certificate is None:
         certificate = certify_vanishing(p, n)
-    tower = h2_basis(p, n, certificate)  # re-verifies the certificate
-    cert = _as_cert_dict(certificate)
+    cert = _require_verified(p, n, certificate)
     sharp = (p - 1) * p ** (n - 2)
-    bott_weights = {(k + 1) * (p - 1) for k in range(p ** (n - 2))}
-    tower_weights = {p + k * (p - 1) for k in range(p ** (n - 2))}
+    # every weight looked up below (at most i_max + 1) has its k <= i_max
+    ks = range(min(p ** (n - 2), i_max + 1))
+    bott_weights = {(k + 1) * (p - 1) for k in ks}
+    tower_weights = {p + k * (p - 1) for k in ks}
     used: set[str] = set()
     rows = []
     for i in range(i_max + 1):
@@ -189,14 +191,13 @@ def k_even_table(p: int, n: int, i_max: int, certificate=None) -> KTable:
                 )
             )
         elif nz:
-            k = i // (p - 1) - 1
             used.add(HLS_CRYSTALLINITY)
             rows.append(
                 KTableRow(
                     i=i,
                     nonzero=True,
                     reason=SHARP_RANGE,
-                    note=f"weight {i + 1} H^2 class {tower[k].name}",
+                    note=f"weight {i + 1} H^2 class {_h2_class(p, i + 1).name}",
                     axioms=(HLS_CRYSTALLINITY,),
                 )
             )

@@ -65,30 +65,17 @@ def _exact_zero_vertical(p: int, i: int, k: int) -> bool:
     return k * (p - 1) == i
 
 
-def build_zp_square(p: int, i: int, extra: int = 0) -> SquareComplex:
-    """The truncated square in weight i, with an optional extra margin.
+def _square(p: int, i: int, window: WindowCutoffs, label: str) -> SquareComplex:
+    """The truncated square in weight i, cut to the given corner tops.
 
-    extra widens every window by the given number of basis elements; the
-    certified dimensions must not depend on it (see verify_truncation).
+    Each corner keeps its basis elements of filtration degree at most the
+    corner's top, and each differential is cut at the top of its target
+    corner.
     """
-    PrimeContext(p)  # validates primality
-    if i < 0:
-        raise ValueError("weight must be >= 0")
-    if extra < 0:
-        raise ValueError("extra margin must be >= 0")
-    kl = left_window(p, i) + extra
-    bl_top = i + kl
-    if i >= 1:
-        kr = right_window(p, i) + extra
-        br_top = i - 1 + kr
-    else:
-        kr = 0  # weight 0: the right column is zero and stays zero
-        br_top = -1
-
-    tl = tuple((k, k + i) for k in range(kl + 1))
-    tr = tuple((k, k + i - 1) for k in range(1, kr + 1)) if i >= 1 else ()
-    bl = tuple((m, m) for m in range(bl_top + 1))
-    br = tuple((d, d) for d in range(1, br_top + 1)) if br_top >= 1 else ()
+    tl = tuple((k, k + i) for k in range(window.tl - i + 1))
+    tr = tuple((k, k + i - 1) for k in range(1, window.tr - i + 2))
+    bl = tuple((m, m) for m in range(window.bl + 1))
+    br = tuple((d, d) for d in range(1, window.br + 1))
 
     nabla_top: dict[int, Series] = {}
     v_left: dict[int, Series] = {}
@@ -96,14 +83,12 @@ def build_zp_square(p: int, i: int, extra: int = 0) -> SquareComplex:
         # can lands on z^(k+i), phi on z^(pk), both exact; they coincide
         # exactly at k (p-1) = i and the window sum cancels them there
         v_left[k] = series_window(
-            p, [(k + i, known(1, p)), (p * k, known(-1, p))], top=bl_top
+            p, [(k + i, known(1, p)), (p * k, known(-1, p))], top=window.bl
         )
         if _exact_zero_vertical(p, i, k):
             nabla_top[k] = Series()
         else:
-            nabla_top[k] = series_window(
-                p, [], tail_from=k + i, top=(i - 1 + kr) if i >= 1 else -1
-            )
+            nabla_top[k] = series_window(p, [], tail_from=k + i, top=window.tr)
 
     v_right: dict[int, Series] = {}
     for k, _ in tr:
@@ -114,7 +99,7 @@ def build_zp_square(p: int, i: int, extra: int = 0) -> SquareComplex:
             p,
             [(k + i - 1, known(1, p)), (p * k, known(-1, p))],
             tail_from=p * k + 1,
-            top=br_top,
+            top=window.br,
         )
 
     nabla_bot: dict[int, Series] = {}
@@ -127,13 +112,13 @@ def build_zp_square(p: int, i: int, extra: int = 0) -> SquareComplex:
             nabla_bot[m] = Series()
             continue
         nabla_bot[m] = series_window(
-            p, [(m, known(m, p))], tail_from=m + 1, top=br_top
+            p, [(m, known(m, p))], tail_from=m + 1, top=window.br
         )
         if m % p == 0:
             k = m // p
             # the square identity on z^k E^i t^-i rewrites this column as
             # nabla_bot(z^(k+i)) minus v_right applied to the vertical tail
-            if k > kl or k + i > bl_top:
+            if k + i > window.tl or k + i > window.bl:
                 raise ArithmeticError("in-span partner escapes the window")
             bl_in_span[m] = k
 
@@ -149,8 +134,28 @@ def build_zp_square(p: int, i: int, extra: int = 0) -> SquareComplex:
         v_right=v_right,
         nabla_bot=nabla_bot,
         bl_in_span=bl_in_span,
-        label=f"zp p={p} weight={i} extra={extra}",
+        label=label,
     )
+
+
+def build_zp_square(p: int, i: int, extra: int = 0) -> SquareComplex:
+    """The truncated square in weight i, with an optional extra margin.
+
+    extra widens every window by the given number of basis elements; the
+    certified dimensions must not depend on it (see verify_truncation).
+    """
+    PrimeContext(p)  # validates primality
+    if i < 0:
+        raise ValueError("weight must be >= 0")
+    if extra < 0:
+        raise ValueError("extra margin must be >= 0")
+    c = standard_cutoffs(p, i)
+    # weight 0: the right column is zero and stays zero
+    grow = extra if i >= 1 else 0
+    window = WindowCutoffs(
+        tl=c.tl + extra, tr=c.tr + grow, bl=c.bl + extra, br=c.br + grow
+    )
+    return _square(p, i, window, f"zp p={p} weight={i} extra={extra}")
 
 
 @dataclass(frozen=True)
@@ -269,7 +274,7 @@ def _match_generators(p: int, i: int, rep: CohomologyReport) -> None:
     if rep.h2:
         k1 = (i - 1) // (p - 1)
         hit = {r[1] for r, _ in rep.d1.pivots}
-        br_degs = set(range(1, i - 1 + right_window(p, i) + 1))
+        br_degs = set(range(1, standard_cutoffs(p, i).br + 1))
         open_rows = br_degs - hit
         if open_rows != {p * k1}:
             raise ArithmeticError(
@@ -294,90 +299,29 @@ def mod_v1_square(p: int, i: int) -> SquareComplex:
     """The square in weight i reduced modulo the image of the Bott class.
 
     Below weight p-1 nothing can be divided by the Bott class and the
-    reduced square coincides with the plain one.  From weight p-1 on, the
-    left column collapses to single classes and the bottom row to the p
-    lowest powers (the bottom Bott action is multiplication by z^p).  At
-    weight exactly p-1 the dividing classes upstairs carry no E factor, the
-    top Bott action shifts z-degree by two, and the top right corner keeps
-    two classes instead of one.
+    reduced square coincides with the plain one.  From weight p-1 on it is
+    the same square on a smaller window: the left column collapses to single
+    classes and the bottom row to the p lowest powers (the bottom Bott action
+    is multiplication by z^p).  At weight exactly p-1 the dividing classes
+    upstairs carry no E factor, the top Bott action shifts z-degree by two,
+    and the top right corner keeps two classes instead of one.
     """
     PrimeContext(p)
     if i < 0:
         raise ValueError("weight must be >= 0")
     if i < p - 1:
         return build_zp_square(p, i)
-    tr_indices = (1, 2) if i == p - 1 else (1,)
-    tl = ((0, i),)
-    tr = tuple((k, k + i - 1) for k in tr_indices)
-    bl = tuple((m, m) for m in range(p))
-    br = tuple((d, d) for d in range(1, p + 1))
-    nabla_top = {0: series_window(p, [], tail_from=i, top=i + len(tr_indices) - 1)}
-    v_left = {0: series_window(p, [(i, known(1, p)), (0, known(-1, p))], top=p - 1)}
-    v_right = {
-        k: series_window(
-            p,
-            [(k + i - 1, known(1, p)), (p * k, known(-1, p))],
-            tail_from=p * k + 1,
-            top=p,
-        )
-        for k in tr_indices
-    }
-    nabla_bot = {
-        m: Series()
-        if m == 0
-        else series_window(p, [(m, known(m, p))], tail_from=m + 1, top=p)
-        for m in range(p)
-    }
+    kr = 2 if i == p - 1 else 1
+    window = WindowCutoffs(tl=i, tr=i - 1 + kr, bl=p - 1, br=p)
+    sq = _square(p, i, window, f"zp mod v1 p={p} weight={i}")
     # at weight p-1 the square identity on E^i expresses the z^(p-1) column
     # through the right-hand columns, since nabla_bot(1) = 0 exactly
-    bl_in_span = {p - 1: 0} if i == p - 1 else {}
-    return SquareComplex(
-        p=p,
-        weight=i,
-        tl=tl,
-        tr=tr,
-        bl=bl,
-        br=br,
-        nabla_top=nabla_top,
-        v_left=v_left,
-        v_right=v_right,
-        nabla_bot=nabla_bot,
-        bl_in_span=bl_in_span,
-        label=f"zp mod v1 p={p} weight={i}",
-    )
+    return replace(sq, bl_in_span={p - 1: 0}) if i == p - 1 else sq
 
 
 def mod_v1_named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
-    if i < p - 1:
-        return named_basis(p, i)
-    if i == p - 1:
-        return (
-            NamedClass(
-                name=f"gamma_{p - 1}",
-                weight=i,
-                degree=1,
-                corner=BL,
-                rep=mono_str(Monomial(z_pow=p - 1, twist=i)),
-            ),
-        )
-    if i == p:
-        return (
-            NamedClass(
-                name="lambda1",
-                weight=i,
-                degree=1,
-                corner=TR,
-                rep=mono_str(Monomial(e_pow=i - 1, nabla=True, twist=i)),
-            ),
-            NamedClass(
-                name="del*lambda1",
-                weight=i,
-                degree=2,
-                corner=BR,
-                rep=mono_str(Monomial(z_pow=p - 1, nabla=True, twist=i)),
-            ),
-        )
-    return ()
+    """The classes of named_basis(p, i) that carry no Bott factor."""
+    return tuple(c for c in named_basis(p, i) if "v1" not in c.name)
 
 
 def mod_v1_cohomology(p: int, i: int) -> CohomologyReport:

@@ -8,8 +8,6 @@ from syntomic.arith import (
     mixed_radix_monomial,
     mono_mul,
     mono_str,
-    nygaard_e_power,
-    nygaard_f_valuation,
 )
 
 
@@ -30,7 +28,6 @@ def test_prime_context_rejects_composite_and_bad_n():
 def test_f_weights():
     ctx = PrimeContext(3, n=4, quotient=True)
     assert [ctx.f_weight(u) for u in range(4)] == [4, 12, 36, 108]
-    assert [ctx.nygaard_f_weight(u) for u in range(4)] == [1, 3, 9, 27]
     with pytest.raises(ValueError):
         PrimeContext(3).f_weight(0)  # base mode has no f generators
 
@@ -51,7 +48,6 @@ def test_f_degree_and_valuation():
     m = Monomial(e_pow=2, z_pow=1, f_exp=((0, 1), (2, 1)), nabla=True, twist=5)
     # 2 + 1 + 1 + 3*1 + 3*4
     assert f_degree(m, ctx) == 19
-    assert nygaard_f_valuation(m, ctx) == 1 + 4
     assert f_degree(Monomial(), ctx) == 0
 
 
@@ -83,15 +79,6 @@ def test_mixed_radix_examples():
     assert mixed_radix_monomial(3, ctx) == Monomial(f_exp=((0, 1),))
     assert mixed_radix_monomial(7, ctx) == Monomial(z_pow=1, f_exp=((1, 1),))
     assert mixed_radix_monomial(9, ctx) == Monomial(f_exp=((0, 1), (1, 1)))
-
-
-def test_nygaard_e_power():
-    ctx = PrimeContext(2, 2, quotient=True)
-    assert nygaard_e_power(4, Monomial(z_pow=1), ctx) == 4  # z carries no weight
-    assert nygaard_e_power(3, Monomial(f_exp=((1, 1),)), ctx) == 1
-    assert nygaard_e_power(1, Monomial(f_exp=((2, 1),)), ctx) == 0  # saturated
-    with pytest.raises(ValueError):
-        nygaard_e_power(2, Monomial(e_pow=1), ctx)
 
 
 def test_mono_mul_adds_exponents_and_degree():

@@ -1,0 +1,37 @@
+"""Import hygiene: the runtime needs only the standard library, and the
+verifier shares no code with the producer it checks."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "syntomic"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imported(path: Path) -> list[tuple[str, int]]:
+    """(top-level module name, relative level) of every import in the file."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            out += [(alias.name.split(".")[0], 0) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            out.append(((node.module or "").split(".")[0], node.level))
+    return out
+
+
+def test_the_package_has_modules():
+    assert "verifier.py" in {m.name for m in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
+def test_imports_are_stdlib_or_the_package(path):
+    for name, level in _imported(path):
+        assert level or name in sys.stdlib_module_names or name == "syntomic", name
+
+
+def test_verifier_imports_nothing_from_the_package():
+    for name, level in _imported(PACKAGE / "verifier.py"):
+        assert not level and name != "syntomic", (name, level)

@@ -20,6 +20,7 @@ from syntomic.ktheory import (
     v1_nilpotence_order,
 )
 from syntomic.verifier import verify_certificate
+from syntomic.zp import named_basis
 from syntomic.zpn import certify_vanishing
 
 
@@ -115,6 +116,20 @@ def test_k_even_table_verifies_its_certificate_once(monkeypatch):
     assert len(calls) == 1
     k_even_table(3, 3, 10, certificate=certify_vanishing(3, 3))
     assert len(calls) == 2
+
+
+def test_k_even_table_names_only_its_own_rows(monkeypatch):
+    # the table's cost follows i_max, not the p^(n-2) classes of the tower
+    calls = []
+
+    def counting(p, w):
+        calls.append(w)
+        return named_basis(p, w)
+
+    monkeypatch.setattr("syntomic.ktheory.named_basis", counting)
+    table = k_even_table(2, 12, 5)
+    assert [r.nonzero for r in table.rows] == [True] * 6
+    assert len(calls) <= 5
 
 
 NILPOTENCE_ORDERS = {

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,9 +11,14 @@ from conftest import (
 )
 from syntomic.arith import Monomial
 from syntomic.linalg import (
+    BL,
     CERTIFIED,
+    TL,
+    TR,
+    Series,
     WindowCutoffs,
     euler_characteristic,
+    known,
     square_cohomology,
     verify_truncation,
 )
@@ -180,6 +186,67 @@ def test_truncation_check_pinpoints_bott_column():
     assert not chk
 
 
+def _unit_terms(*degrees):
+    return tuple((d, known(1, 3)) for d in degrees)
+
+
+# build_zp_square(3, 3, extra=2) against standard_cutoffs(3, 3) = (4, 3, 4, 3):
+# beyond columns are TL k = 2, 3 (v_left leads 5, 6), TR k = 2, 3 (v_right
+# leads 4, 5) and BL m = 5, 6; each case breaks one of their Series
+@pytest.mark.parametrize(
+    "field, key, series, failing, detail",
+    [
+        ("v_left", 2, Series(((5, known(2, 3)), (6, known(1, 3)))), (TL, 2),
+         "beyond column lost its exact unit leading term"),
+        ("v_left", 2, Series(), (TL, 2),
+         "beyond column lost its exact unit leading term"),
+        ("v_left", 2, Series(_unit_terms(4, 6)), (TL, 2),
+         "beyond column leads inside the baseline window"),
+        ("nabla_top", 2, Series(tail_from=3), (TL, 2),
+         "vertical image enters the baseline window"),
+        ("v_left", 2, Series(_unit_terms(6)), (TL,),
+         "beyond leading degrees are not consecutive"),
+        ("v_right", 2, Series(tail_from=4), (TR, 2),
+         "beyond column lost its exact unit leading term"),
+        ("v_right", 2, Series(((4, known(2, 3)),)), (TR, 2),
+         "beyond column lost its exact unit leading term"),
+        ("v_right", 2, Series(_unit_terms(3, 4)), (TR, 2),
+         "beyond column leads inside the baseline window"),
+        ("v_right", 3, Series(_unit_terms(4)), (TR,),
+         "beyond leading degrees are not consecutive"),
+        # maps beyond the extended window: harmless, but the leads now skip 4
+        ("v_right", 2, Series(tail_from=6), (TR,),
+         "beyond leading degrees are not consecutive"),
+        ("nabla_bot", 5, Series(tail_from=3), (BL, 5),
+         "image enters the baseline window"),
+    ],
+)
+def test_truncation_failure_reasons(field, key, series, failing, detail):
+    sq = build_zp_square(3, 3, extra=2)
+    bad = replace(sq, **{field: {**getattr(sq, field), key: series}})
+    chk = verify_truncation(bad, standard_cutoffs(3, 3))
+    assert (chk.ok, chk.failing, chk.detail) == (False, failing, detail)
+
+
+@pytest.mark.parametrize("field", ["v_left", "v_right"])
+def test_truncation_rejects_a_beyond_term_with_no_row(field):
+    sq = build_zp_square(3, 3, extra=2)
+    lead = getattr(sq, field)[2].terms[0][0]
+    column = Series(_unit_terms(lead, 9))  # no row has degree 9
+    bad = replace(sq, **{field: {**getattr(sq, field), 2: column}})
+    with pytest.raises(ValueError, match="has no row"):
+        verify_truncation(bad, standard_cutoffs(3, 3))
+
+
+def test_a_leading_term_that_is_not_minimal_cannot_be_built():
+    # verify_truncation reads the first explicit term as the leading one; a
+    # Series with a lower term after it, or a tail at or below it, is refused
+    with pytest.raises(ValueError):
+        Series(_unit_terms(6, 5))
+    with pytest.raises(ValueError):
+        Series(_unit_terms(5), tail_from=5)
+
+
 # ------------------------------------------------------ known identities
 
 
@@ -235,6 +302,16 @@ def test_mod_v1_square_shapes():
     assert sq.bl_in_span == {}
     sq = mod_v1_square(5, 2)  # below the bott weight: the plain square
     assert sq.corner_sizes() == build_zp_square(5, 2).corner_sizes()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mod_v1_vertical_is_cut_at_the_top_right_window(p):
+    # the vertical image of E^i is a tail from degree i; the top-right window
+    # reaches i + 1 at weight p-1 and i above it, so the tail is always kept
+    for i in range(p - 1, 3 * p + 1):
+        sq = mod_v1_square(p, i)
+        assert sq.nabla_top == {0: Series(tail_from=i)}, (p, i)
+        assert max(d for _, d in sq.tr) == i + (i == p - 1)
 
 
 def test_mod_v1_generator_names():
