@@ -30,7 +30,7 @@ from .linalg import (
     square_cohomology,
     verify_truncation,
 )
-from .verifier import check_image_membership, sample_certificate, verify_certificate
+from .verifier import sample_certificate, verify_certificate
 from .zp import (
     NamedClass,
     build_zp_square,
@@ -67,7 +67,6 @@ __all__ = [
     "build_zp_square",
     "certified_eliminate",
     "certify_vanishing",
-    "check_image_membership",
     "euler_characteristic",
     "f_degree",
     "h2_basis",

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .verifier import verify_certificate
 from .zp import NamedClass, named_basis
-from .zpn import VanishingCertificate, certify_vanishing
+from .zpn import VanishingCertificate, bott_tower_size, certify_vanishing
 
 HLS_SURJECTIVITY = "HLS_SURJECTIVITY"
 HLS_CRYSTALLINITY = "HLS_CRYSTALLINITY"
@@ -119,14 +119,15 @@ def h2_basis(p: int, n: int, certificate=None) -> H2Tower:
     certificate for (p, n) is required (one is produced on demand).  The
     returned tags record the transport inputs: the upper bound rides the
     surjectivity axiom, the nonvanishing rides the crystallinity axiom.
+    The tower is built class by class, so (p, n) with p^(n-2) above
+    MAX_BOTT_TOWER (4096) raise ValueError before any work is done.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    size = bott_tower_size(p, n)
     if certificate is None:
         certificate = certify_vanishing(p, n)
     _require_verified(p, n, certificate)
     return H2Tower(
-        classes=tuple(_h2_class(p, p + k * (p - 1)) for k in range(p ** (n - 2))),
+        classes=tuple(_h2_class(p, p + k * (p - 1)) for k in range(size)),
         axioms=axiom_catalog({HLS_SURJECTIVITY, HLS_CRYSTALLINITY}),
     )
 

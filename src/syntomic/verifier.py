@@ -11,12 +11,17 @@ For any concrete instantiation of the unknown unit series lambda_j the
 instantiated column system is triangular (each column's lowest term is its
 exact can image, with coefficient one), so a greedy peel of the lowest
 residual term is a sound and complete membership decision, and a success
-constructs an explicit preimage.  Dense F_p elimination over the same
-column space cross-checks the greedy solver for small truncations.
+constructs an explicit preimage.  The peel keeps its residual terms in a
+heap keyed by (filtration degree, level): a term at level j and z power a
+has degree a + n*p^j, so on one level the degree fixes a, two live terms
+never share a key, and each clear pops the unique lowest term without
+scanning the others.  Dense F_p elimination over the same column space
+cross-checks the greedy solver for small truncations.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 
@@ -43,26 +48,39 @@ class VerifierReport:
 
 
 def verify_certificate(data: dict) -> VerifierReport:
-    """Recompute a serialized vanishing certificate from scratch."""
+    """Recompute a serialized vanishing certificate from scratch.
+
+    A certificate missing a field, or holding a field of the wrong type at
+    any depth, gives a failed report with a "malformed certificate" error,
+    never an exception."""
     checks: list[tuple[str, bool]] = []
     errors: list[str] = []
 
-    def check(name: str, okv: bool, detail: str = "") -> None:
+    def check(name: str, okv: bool, detail: str = "") -> bool:
         checks.append((name, okv))
         if not okv:
             errors.append(detail or name)
+        return okv
 
     try:
-        p, n = int(data["p"]), int(data["n"])
-        steps = list(data["steps"])
-        term = data["termination"]
-    except (KeyError, TypeError, ValueError) as exc:
-        return VerifierReport(False, (), (f"malformed certificate: {exc}",))
-
-    check("p_prime", _is_prime(p), f"p={p} is not prime")
-    check("n_at_least_two", n >= 2, f"n={n} < 2")
-    if not (checks and all(v for _, v in checks)):
+        _check_certificate(data, check)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        errors.append(f"malformed certificate: {exc}")
         return VerifierReport(False, tuple(checks), tuple(errors))
+    ok = all(v for _, v in checks)
+    return VerifierReport(ok, tuple(checks), tuple(errors))
+
+
+def _check_certificate(data: dict, check) -> None:
+    """Record every check of verify_certificate through check(name, ok,
+    detail), which returns ok; raises on a missing or mistyped field."""
+    p, n = int(data["p"]), int(data["n"])
+    steps = list(data["steps"])
+    term = data["termination"]
+
+    prime = check("p_prime", _is_prime(p), f"p={p} is not prime")
+    if not (check("n_at_least_two", n >= 2, f"n={n} < 2") and prime):
+        return
 
     weight = p ** (n - 1) - p ** (n - 2)
     bound = n * weight
@@ -166,9 +184,6 @@ def verify_certificate(data: dict) -> VerifierReport:
             "termination record does not match the chain",
         )
 
-    ok = all(v for _, v in checks)
-    return VerifierReport(ok, tuple(checks), tuple(errors))
-
 
 def _instantiate_units(
     p: int, n: int, bound: int, rng: random.Random, max_tail: int = 3
@@ -191,39 +206,52 @@ def _greedy_membership(
 ) -> tuple[bool, int]:
     """Decide, for the instantiated system, whether the target is hit.
 
-    State: residual terms keyed by (level j, z power) with coefficients in
-    F_p, all of filtration degree < n * weight.  The unique column leading
-    at the lowest term is the level-j Nygaard element with matching can
-    image; subtracting it trades the term for level-(j+1) terms of strictly
-    higher degree, so the loop terminates.  Level-n terms always sit beyond
-    the truncation and vanish from the residual.
+    State: residual terms at (level j, z power a) with coefficients in F_p,
+    all of filtration degree < n * weight.  The unique column leading at the
+    lowest term is the level-j Nygaard element with matching can image;
+    subtracting it trades the term for level-(j+1) terms of its phi image.
+    Levels only rise, and level-n terms always sit beyond the truncation and
+    vanish from the residual, so the loop terminates.
+
+    Terms are keyed by (degree, j), with a = degree - n*p^j.  A key is pushed
+    onto the heap each time its term enters the residual, so every live term
+    has a key there; a popped key whose term is no longer live (it cancelled,
+    or an equal key cleared it) is skipped.
     """
     weight = p ** (n - 1) - p ** (n - 2)
     bound = n * weight
     if p ** (n - 1) >= bound:
         return (True, 0)  # the target is already zero modulo the truncation
-    residual: dict[tuple[int, int], int] = {(0, p ** (n - 1) - n): 1}
+    level_deg = [n * p**j for j in range(n)]
+    start = (p ** (n - 1) - n + level_deg[0], 0)
+    residual: dict[tuple[int, int], int] = {start: 1}
+    heap = [start]
     clears = 0
-    while residual:
-        (j, a), coef = min(
-            ((k, v) for k, v in residual.items()),
-            key=lambda kv: (kv[0][1] + n * p ** kv[0][0], kv[0][0]),
-        )
-        del residual[(j, a)]
-        if coef % p == 0:
-            continue
-        s = a - (weight - p**j)
+    while heap:
+        key = heapq.heappop(heap)
+        coef = residual.pop(key, 0)
+        if coef == 0:
+            continue  # no longer live: cancelled, or cleared by an equal key
+        fdeg, j = key
+        s = fdeg - level_deg[j] - (weight - p**j)
         if s < 0:
             return (False, clears)  # no column leads at this position
         clears += 1
         if j + 1 >= n:
             continue  # the phi remainder lives beyond the truncation
+        up = level_deg[j + 1]
         for offset, lam in units[j]:
-            pos = (j + 1, p * s + offset)
-            if pos[1] + n * p ** (j + 1) >= bound:
+            deg = p * s + offset + up
+            if deg >= bound:
                 continue
-            residual[pos] = (residual.get(pos, 0) + coef * lam) % p
-            if residual[pos] == 0:
+            pos = (deg, j + 1)
+            old = residual.get(pos)
+            val = ((old or 0) + coef * lam) % p
+            if val:
+                if old is None:
+                    heapq.heappush(heap, pos)
+                residual[pos] = val
+            elif old is not None:
                 del residual[pos]
     return (True, clears)
 
@@ -298,18 +326,12 @@ class SampleReport:
         return self.ok
 
 
-def check_image_membership(data: dict, rng: random.Random) -> bool:
-    """One sampled membership check of the certified identity."""
-    p, n = int(data["p"]), int(data["n"])
-    bound = n * (p ** (n - 1) - p ** (n - 2))
-    units = _instantiate_units(p, n, bound, rng)
-    ok, _ = _greedy_membership(p, n, units)
-    return ok
-
-
 def sample_certificate(data: dict, samples: int = 100, seed: int = 0) -> SampleReport:
     """Sample the certified identity; cross-check greedy against dense
-    elimination when the truncation window is small enough to afford it."""
+    elimination when the truncation window is small enough to afford it.
+    At least one sample is required: zero samples would pass vacuously."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     p, n = int(data["p"]), int(data["n"])
     bound = n * (p ** (n - 1) - p ** (n - 2))
     rng = random.Random(seed)

@@ -25,6 +25,11 @@ from .zp import v1_bottom_action
 
 HIGH_FILTRATION = "HIGH_FILTRATION"
 
+# Largest Bott tower p^(n-2) that h2_basis and v1_power_partial_representative
+# step through; their cost is linear in it, so a larger (p, n) is refused
+# rather than left to run for hours (p^(n-2) is 2^28 at p = 2, n = 30).
+MAX_BOTT_TOWER = 4096
+
 
 def nygaard_truncation_bound(n: int, i: int) -> int:
     """Filtration level from which everything sits in Nygaard level >= i.
@@ -229,18 +234,37 @@ def certify_vanishing(p: int, n: int) -> VanishingCertificate:
     )
 
 
+def bott_tower_size(p: int, n: int) -> int:
+    """p^(n-2), the number of Bott powers that survive in Z/p^n.
+
+    Raises ValueError for n < 2, p < 2, or a tower above MAX_BOTT_TOWER; an
+    oversized n is refused before the power is formed.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if p < 2:
+        raise ValueError(f"p={p} is not prime")
+    if n - 2 >= MAX_BOTT_TOWER.bit_length() or p ** (n - 2) > MAX_BOTT_TOWER:
+        raise ValueError(
+            f"p^(n-2) for p={p}, n={n} exceeds the Bott tower limit "
+            f"{MAX_BOTT_TOWER}"
+        )
+    return p ** (n - 2)
+
+
 def v1_power_partial_representative(p: int, n: int) -> Monomial:
     """Bottom-row representative of the p^(n-2)-th Bott power for Z/p^n.
 
     Computed two ways: directly as z^(p^(n-1)) t^-(p^(n-1)-p^(n-2)), and by
     iterating the bottom-row Bott action on the unit.  Both must agree.
+    The iteration takes p^(n-2) steps, so (p, n) with p^(n-2) above
+    MAX_BOTT_TOWER (4096) raise ValueError.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    steps = bott_tower_size(p, n)
     i = p ** (n - 1) - p ** (n - 2)
     direct = Monomial(z_pow=p ** (n - 1), twist=i)
     stepped = Monomial()
-    for _ in range(p ** (n - 2)):
+    for _ in range(steps):
         stepped = v1_bottom_action(stepped, p)
     if stepped != direct:
         raise ArithmeticError("Bott power representative mismatch")

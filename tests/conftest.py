@@ -6,7 +6,9 @@ instantiations are computed by plain dense Gaussian elimination over F_p.
 The engine is only trusted to hand over its symbolic column data.  The one
 symbolic oracle, reference_eliminate, runs the engine's pivot rule on dict
 columns with every tail expanded into per-row unknowns; it shares only the
-scalar algebra with the engine.
+scalar algebra with the engine.  reference_greedy_membership is the
+verifier's greedy peel written as a scan for the lowest residual term on
+every clear; it shares nothing with the verifier.
 """
 
 import pytest
@@ -342,3 +344,42 @@ def reference_square_eliminations(sq):
         reference_eliminate(cols0, rows1, p),
         reference_eliminate(cols1, rows2, p, in_span=[(1, m) for m in sq.bl_in_span]),
     )
+
+
+def reference_greedy_membership(p, n, units):
+    """The verifier's greedy peel, choosing each term to clear by a full scan.
+
+    Residual terms are keyed by (level j, z power a) with nonzero
+    coefficients in F_p; every clear takes the term of lowest filtration
+    degree a + n*p^j (ties broken by level), trades it for the level-(j+1)
+    terms of its phi image and counts one clear.  Returns (ok, clears) like
+    verifier._greedy_membership.
+    """
+    weight = p ** (n - 1) - p ** (n - 2)
+    bound = n * weight
+    if p ** (n - 1) >= bound:
+        return (True, 0)
+    residual = {(0, p ** (n - 1) - n): 1}
+    clears = 0
+    while residual:
+        (j, a), coef = min(
+            residual.items(),
+            key=lambda kv: (kv[0][1] + n * p ** kv[0][0], kv[0][0]),
+        )
+        del residual[(j, a)]
+        if coef % p == 0:
+            continue
+        s = a - (weight - p**j)
+        if s < 0:
+            return (False, clears)
+        clears += 1
+        if j + 1 >= n:
+            continue
+        for offset, lam in units[j]:
+            pos = (j + 1, p * s + offset)
+            if pos[1] + n * p ** (j + 1) >= bound:
+                continue
+            residual[pos] = (residual.get(pos, 0) + coef * lam) % p
+            if residual[pos] == 0:
+                del residual[pos]
+    return (True, clears)

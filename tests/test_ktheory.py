@@ -88,6 +88,16 @@ def test_tower_requires_n_at_least_two():
         k_even_table(3, 2, -1)
 
 
+@pytest.mark.parametrize("p,n", [(2, 15), (3, 10), (2, 10**9)])
+def test_oversized_tower_is_refused_before_any_work(p, n, monkeypatch):
+    def no_certificate(*args):
+        raise AssertionError("certified before the size check")
+
+    monkeypatch.setattr("syntomic.ktheory.certify_vanishing", no_certificate)
+    with pytest.raises(ValueError, match="exceeds the Bott tower limit 4096"):
+        h2_basis(p, n)
+
+
 def test_certificate_must_match_and_verify():
     wrong_pair = certify_vanishing(3, 4)
     with pytest.raises(ValueError, match="different"):

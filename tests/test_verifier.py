@@ -1,13 +1,13 @@
 import random
 
 import pytest
+from conftest import reference_greedy_membership
 
 from syntomic.verifier import (
     SampleReport,
     _dense_membership,
     _greedy_membership,
     _instantiate_units,
-    check_image_membership,
     sample_certificate,
     verify_certificate,
 )
@@ -54,9 +54,59 @@ def test_degenerate_case_is_vacuously_members():
     assert _dense_membership(2, 2, units)
 
 
-def test_check_image_membership_single_draw():
+@pytest.mark.parametrize("max_tail", [3, 12])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_heap_peel_matches_the_reference_scan(p, max_tail):
+    # every n whose truncation bound is at most about 3000: up to n = 10
+    # at p = 2 (bound 2560), 7 at p = 3 (3402), 5 at p = 5, 4 at p = 7;
+    # past bound 1000 the reference scan is slow, so fewer draws there
+    rng = random.Random(1000 * p + max_tail)
+    n = 2
+    while n * (p ** (n - 1) - p ** (n - 2)) <= 3500:
+        bound = n * (p ** (n - 1) - p ** (n - 2))
+        for _ in range(25 if bound <= 1000 else 3):
+            units = _instantiate_units(p, n, bound, rng, max_tail)
+            got = _greedy_membership(p, n, units)
+            assert got == reference_greedy_membership(p, n, units), (n, units)
+        n += 1
+    assert n > 4
+
+
+# Hand-built maps, not instantiations.  In the first, the negative level-1
+# offsets send the phi image of the later level-1 term (z power 34) onto the
+# level-2 term at z power 16, which the earlier one (z power 32) put there
+# and which is already cleared, so that term enters the residual a second
+# time; and the three equal (8, 1) terms of the level-2 unit add 1, then 0
+# (the term cancels and its heap key goes stale), then 1 again to each
+# level-3 position they reach, before that position is popped.  In the
+# second, an offset of -30 puts a level-1 term below every level-1 column,
+# so the peel fails after one clear.
+READDED = {
+    0: [(10, 1), (12, 1)],
+    1: [(-24, 1), (-20, 1)],
+    2: [(8, 1), (8, 1), (8, 1), (9, 1)],
+    3: [(0, 1)],
+    4: [(0, 1)],
+    5: [(0, 1)],
+}
+UNREACHABLE = {0: [(-30, 1), (0, 1)], 1: [(0, 1)], 2: [(0, 1)], 3: [(0, 1)]}
+
+
+@pytest.mark.parametrize(
+    "n,units,expected",
+    [(6, READDED, (True, 11)), (4, UNREACHABLE, (False, 1))],
+    ids=["readded", "unreachable"],
+)
+def test_heap_peel_matches_the_reference_on_hand_built_maps(n, units, expected):
+    assert reference_greedy_membership(2, n, units) == expected
+    assert _greedy_membership(2, n, units) == expected
+
+
+@pytest.mark.parametrize("samples", [0, -4])
+def test_sampling_needs_at_least_one_sample(samples):
     data = certify_vanishing(3, 3).to_dict()
-    assert check_image_membership(data, random.Random(5))
+    with pytest.raises(ValueError, match="at least 1"):
+        sample_certificate(data, samples=samples)
 
 
 def test_sampling_cross_check_flag_follows_bound():
@@ -80,3 +130,25 @@ def test_verifier_report_is_detailed():
     assert "termination_rule" in names
     assert all(ok for _, ok in report.checks)
     assert bool(report)
+
+
+@pytest.mark.parametrize(
+    "steps,missing",
+    [([{}], "'j'"), ([{"j": 0}], "'element'"), ([7], "not subscriptable")],
+)
+def test_malformed_step_is_a_failed_report(steps, missing):
+    data = {"p": 2, "n": 3, "steps": steps, "termination": {}}
+    report = verify_certificate(data)
+    assert not report.ok
+    assert report.errors[-1].startswith("malformed certificate:")
+    assert missing in report.errors[-1]
+
+
+def test_malformed_termination_is_a_failed_report():
+    data = certify_vanishing(2, 5).to_dict()
+    data["termination"] = None
+    report = verify_certificate(data)
+    assert not report.ok
+    assert report.errors == (
+        "malformed certificate: 'NoneType' object has no attribute 'get'",
+    )
