@@ -14,14 +14,36 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+# Miller-Rabin over the primes up to 37 as bases decides primality exactly
+# for every p below 3.3 * 10^24 (Sorenson and Webster); the limit 2^64 keeps
+# a wide margin below that, and a larger p is refused, not guessed.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic primality test; ValueError for p >= 2^64."""
+    if p >= 2**64:
+        raise ValueError(f"p={p} is at or above the primality limit 2^64")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    if p < 41 * 41:  # no prime factor up to 37, so none at all
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -72,7 +72,10 @@ def _as_cert_dict(certificate) -> dict:
     raise TypeError("certificate must be a VanishingCertificate or its dict form")
 
 
-def _require_verified(p: int, n: int, certificate) -> dict:
+def _require_verified(p: int, n: int, certificate=None) -> dict:
+    """The re-verified dict of certificate, produced for (p, n) if None."""
+    if certificate is None:
+        certificate = certify_vanishing(p, n)
     data = _as_cert_dict(certificate)
     if data.get("p") != p or data.get("n") != n:
         raise ValueError("certificate is for different (p, n)")
@@ -123,8 +126,6 @@ def h2_basis(p: int, n: int, certificate=None) -> H2Tower:
     MAX_BOTT_TOWER (4096) raise ValueError before any work is done.
     """
     size = bott_tower_size(p, n)
-    if certificate is None:
-        certificate = certify_vanishing(p, n)
     _require_verified(p, n, certificate)
     return H2Tower(
         classes=tuple(_h2_class(p, p + k * (p - 1)) for k in range(size)),
@@ -162,8 +163,6 @@ def k_even_table(p: int, n: int, i_max: int, certificate=None) -> KTable:
         raise ValueError("need n >= 2")
     if i_max < 0:
         raise ValueError("need i_max >= 0")
-    if certificate is None:
-        certificate = certify_vanishing(p, n)
     cert = _require_verified(p, n, certificate)
     sharp = (p - 1) * p ** (n - 2)
     # every weight looked up below (at most i_max + 1) has its k <= i_max

@@ -258,9 +258,10 @@ def _check_named_dims(
         )
 
 
-def _match_generators(p: int, i: int, rep: CohomologyReport) -> None:
-    """Tie each named class to its certified elimination witness or fail
-    loudly."""
+def _match_generators(sq: SquareComplex, rep: CohomologyReport) -> None:
+    """Tie each named class to its certified elimination witness in sq, at
+    any window margin, or fail loudly."""
+    p, i = sq.p, sq.weight
     if i % (p - 1) == 0:
         k0 = i // (p - 1)
         if (0, k0) not in rep.d0.kernel_columns:
@@ -274,8 +275,7 @@ def _match_generators(p: int, i: int, rep: CohomologyReport) -> None:
     if rep.h2:
         k1 = (i - 1) // (p - 1)
         hit = {r[1] for r, _ in rep.d1.pivots}
-        br_degs = set(range(1, standard_cutoffs(p, i).br + 1))
-        open_rows = br_degs - hit
+        open_rows = {d for d, _ in sq.br} - hit
         if open_rows != {p * k1}:
             raise ArithmeticError(
                 f"H^2 generator row mismatch in weight {i}: {open_rows}"
@@ -290,8 +290,7 @@ def zp_cohomology(p: int, i: int, extra: int = 0) -> CohomologyReport:
         return rep
     names = named_basis(p, i)
     _check_named_dims(rep, names, "named basis")
-    if extra == 0:
-        _match_generators(p, i, rep)
+    _match_generators(sq, rep)
     return replace(rep, generators=names)
 
 

@@ -8,6 +8,10 @@ step j clears the remainder against E^(i-p^j) z^(s_j) f_j t^-i, whose can
 image reproduces the remainder exactly and whose phi image is the next
 remainder, one envelope generator deeper and strictly higher in filtration.
 The chain stops at the first remainder at or beyond the truncation.
+certify_vanishing builds and checks the chain in one pass: each step is
+checked on its own and against the step before it as it is made, and the
+closed-form filtration degrees each step records are recomputed through
+the monomial grading f_degree.
 
 Everything here is exact integer bookkeeping: can rewrites E to z on the
 nose mod p, phi consumes the E power exactly (the twist contributes
@@ -75,7 +79,7 @@ class StepWitness:
 
 def telescoping_step(p: int, n: int, j: int) -> StepWitness:
     """The j-th clearing step of the weight p^(n-1) - p^(n-2) chain."""
-    ctx = PrimeContext(p, n, quotient=True)
+    PrimeContext(p, n, quotient=True)  # validates p and n
     if n < 2:
         raise ValueError("need n >= 2")
     i = p ** (n - 1) - p ** (n - 2)
@@ -88,8 +92,9 @@ def telescoping_step(p: int, n: int, j: int) -> StepWitness:
     # phi sends z to z^p and f_j to lambda_j f_(j+1); the twist t^-i divides
     # by phi(E)^i, consuming phi(E)^(e_pow + p^j) = phi(E)^i exactly
     phi_image = ExpMonomial(e_pow=0, z_pow=p * element.z_pow, f_index=j + 1)
-    fdeg_can = can_image.f_deg(ctx)
-    fdeg_phi = phi_image.f_deg(ctx)
+    # closed forms: z weighs 1 and f_u weighs n p^u
+    fdeg_can = can_image.z_pow + n * p**j
+    fdeg_phi = phi_image.z_pow + n * p ** (j + 1)
     side = (
         ("step_in_chain_range", 0 <= j <= n - 2),
         ("element_z_power_nonneg", s_j >= 0),
@@ -169,55 +174,36 @@ def certify_vanishing(p: int, n: int) -> VanishingCertificate:
     i = p ** (n - 1) - p ** (n - 2)
     bound = nygaard_truncation_bound(n, i)
     target = p ** (n - 1)
+    # when the target itself reaches the truncation (only p = n = 2),
+    # the chain is formally degenerate and clears nothing in-window
+    target_in_window = target < bound
     steps: list[StepWitness] = []
     failures: list[str] = []
-    j = 0
-    while True:
-        if j > n - 2:
-            # unreachable: the j = n-2 remainder has degree n p^(n-1) >= i n
-            failures.append("chain ran past the last valid step index")
-            break
+    for j in range(n - 1):
         w = telescoping_step(p, n, j)
-        steps.append(w)
         for name, okv in w.side_conditions:
             if not okv:
                 failures.append(f"step {j}: side condition {name} failed")
+        if not steps:
+            if w.can_image.z_pow + n != target or w.can_image.f_index != 0:
+                failures.append("target does not match the step-0 can image")
+        else:
+            prev = steps[-1]
+            if w.can_image != prev.phi_image:
+                failures.append(f"chain link broken between steps {j - 1} and {j}")
+            if w.fdeg_phi <= prev.fdeg_phi:
+                failures.append(f"filtration fails to ascend at step {j}")
+        if target_in_window and w.fdeg_can >= bound:
+            failures.append(f"step {j} clears a term beyond the truncation")
+        # the monomial grading is a second route to the closed-form degrees
+        if w.fdeg_can != w.can_image.f_deg(ctx) or w.fdeg_phi != w.phi_image.f_deg(ctx):
+            failures.append(f"step {j} filtration degree mismatch")
+        steps.append(w)
         if w.fdeg_phi >= bound:
             break
-        j += 1
-
-    if steps:
-        first = steps[0]
-        if first.can_image.z_pow + n != target or first.can_image.f_index != 0:
-            failures.append("target does not match the step-0 can image")
-        for a, b in zip(steps, steps[1:]):
-            if (
-                b.can_image.z_pow != a.phi_image.z_pow
-                or b.can_image.f_index != a.phi_image.f_index
-            ):
-                failures.append(f"chain link broken between steps {a.j} and {b.j}")
-            if b.fdeg_phi <= a.fdeg_phi:
-                failures.append(f"filtration fails to ascend at step {b.j}")
-        for w in steps[:-1]:
-            if w.fdeg_phi >= bound:
-                failures.append(f"step {w.j} should already have terminated")
-        # when the target itself reaches the truncation (only p = n = 2),
-        # the chain is formally degenerate and clears nothing in-window
-        target_in_window = target < bound
-        for w in steps:
-            if target_in_window and w.fdeg_can >= bound:
-                failures.append(f"step {w.j} clears a term beyond the truncation")
-            # recompute both degrees through the monomial grading as a
-            # second route, instead of trusting the chain arithmetic
-            if w.fdeg_can != w.can_image.f_deg(ctx) or w.fdeg_phi != w.phi_image.f_deg(ctx):
-                failures.append(f"step {w.j} filtration degree mismatch")
-        last = steps[-1]
-        term_step, term_fdeg = last.j, last.fdeg_phi
-        if term_fdeg < bound:
-            failures.append("final remainder is below the truncation bound")
-    else:
-        term_step, term_fdeg = -1, -1
-        failures.append("empty chain")
+    last = steps[-1]
+    if last.fdeg_phi < bound:
+        failures.append("final remainder is below the truncation bound")
 
     return VanishingCertificate(
         p=p,
@@ -227,8 +213,8 @@ def certify_vanishing(p: int, n: int) -> VanishingCertificate:
         target_z_pow=target,
         steps=tuple(steps),
         termination_reason=HIGH_FILTRATION,
-        termination_step=term_step,
-        termination_fdeg=term_fdeg,
+        termination_step=last.j,
+        termination_fdeg=last.fdeg_phi,
         verified=not failures,
         failures=tuple(failures),
     )

@@ -9,11 +9,41 @@ from syntomic.arith import (
     mono_mul,
     mono_str,
 )
+from syntomic.verifier import _is_prime as verifier_is_prime
 
 
 def test_is_prime_small_values():
     primes = [n for n in range(30) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def _sieve(limit: int) -> list[bool]:
+    flags = [False, False] + [True] * (limit - 2)
+    for d in range(2, int(limit**0.5) + 1):
+        if flags[d]:
+            flags[d * d :: d] = [False] * len(flags[d * d :: d])
+    return flags
+
+
+# 3825123056546413051 is a strong pseudoprime to every prime base up to 31;
+# only base 37 exposes it
+@pytest.mark.parametrize("prime_test", [is_prime, verifier_is_prime])
+def test_primality_is_exact(prime_test):
+    flags = _sieve(10**5)
+    assert [p for p in range(10**5) if prime_test(p)] == [
+        p for p in range(10**5) if flags[p]
+    ]
+    assert not prime_test(3825123056546413051)
+    assert prime_test(2**61 - 1)
+    assert prime_test(2**64 - 59)  # the largest prime below 2^64
+    assert not prime_test(2**64 - 57)
+
+
+def test_primality_refuses_p_from_two_to_the_sixty_four():
+    for p in (2**64, 2**64 + 13, 2**89 - 1):
+        with pytest.raises(ValueError, match="primality limit 2\\^64"):
+            is_prime(p)
+        assert not verifier_is_prime(p)
 
 
 def test_prime_context_rejects_composite_and_bad_n():

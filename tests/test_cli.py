@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -13,9 +14,50 @@ def test_usage_errors_exit_one(capsys):
     assert main(["zp", "--p", "3", "--bogus"]) == 1
     assert main(["certify", "--p", "3"]) == 1
     assert main(["certify", "--p", "3", "--n", "1"]) == 1
+    assert main(["ktable", "--p", "4", "--n", "3", "--imax", "5"]) == 1
+    assert main(["ktable", "--p", "3", "--n", "1", "--imax", "5"]) == 1
+    assert main(["ktable", "--p", "3", "--n", "3", "--imax", "-1"]) == 1
     assert main(["nonsense"]) == 1
     err = capsys.readouterr().err
-    assert err.count("error:") == 7
+    assert err.count("error:") == 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zp", "--weights", "0..3"],
+        ["certify", "--n", "3", "--samples", "2"],
+        ["ktable", "--n", "3", "--imax", "5"],
+    ],
+    ids=["zp", "certify", "ktable"],
+)
+def test_a_61_bit_prime_runs_at_once(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    assert main(argv[:1] + ["--p", str(2**61 - 1)] + argv[1:]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zp", "--weights", "1"],
+        ["certify", "--n", "2", "--samples", "1"],
+        ["ktable", "--n", "2", "--imax", "1"],
+    ],
+    ids=["zp", "certify", "ktable"],
+)
+def test_a_prime_past_the_primality_limit_exits_one(
+    argv, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    p = 2**64 + 13  # prime, but past where primality is decided exactly
+    assert main(argv[:1] + ["--p", str(p)] + argv[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: p={p} is at or above the primality limit 2^64\n"
+    assert list(tmp_path.iterdir()) == []  # nothing written
 
 
 def test_zp_markdown_to_stdout(capsys):

@@ -9,6 +9,7 @@ from conftest import (
     mod_v1_expected_dims,
     sampled_dims,
 )
+from syntomic import zp
 from syntomic.arith import Monomial
 from syntomic.linalg import (
     BL,
@@ -144,6 +145,21 @@ def test_generator_counts_match_certified_dims(p):
         rep = zp_cohomology(p, i)
         by_deg = [sum(1 for c in rep.generators if c.degree == d) for d in (0, 1, 2)]
         assert tuple(by_deg) == rep.dims
+
+
+@pytest.mark.parametrize("extra", [0, 2])
+def test_generator_matching_runs_at_every_margin(extra, monkeypatch):
+    # weight 4 at p = 3 names del v1^2, whose witness is the kernel column
+    # (1, 6); a report that loses it must be refused at any window margin
+    def lose_del_column(sq):
+        rep = square_cohomology(sq)
+        kept = tuple(c for c in rep.d1.kernel_columns if c != (1, 6))
+        assert kept != rep.d1.kernel_columns
+        return replace(rep, d1=replace(rep.d1, kernel_columns=kept))
+
+    monkeypatch.setattr(zp, "square_cohomology", lose_del_column)
+    with pytest.raises(ArithmeticError, match="^del column did not resolve to zero$"):
+        zp_cohomology(3, 4, extra=extra)
 
 
 def test_basis_table_agrees_with_reports():

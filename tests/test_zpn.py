@@ -1,9 +1,12 @@
 import copy
+from dataclasses import replace
 
 import pytest
 
+from syntomic import zpn
 from syntomic.zpn import (
     MAX_BOTT_TOWER,
+    ExpMonomial,
     bott_tower_size,
     certify_vanishing,
     nygaard_truncation_bound,
@@ -121,6 +124,45 @@ def test_degenerate_smallest_case():
     assert cert.verified
     assert cert.target_z_pow == cert.truncation == 2
     assert len(cert.steps) == 1
+
+
+# The (3, 4) chain: can images z^23 f0, z^18 f1, z^9 f2 at degrees 27, 30,
+# 45; phi images z^18 f1, z^9 f2, f3 at degrees 30, 45, 108; truncation 72.
+# Each case corrupts one field of one step and names every check it trips.
+@pytest.mark.parametrize(
+    "j, field, value, failures",
+    [
+        (1, "side_conditions", (("element_e_power_nonneg", False),),
+         ("step 1: side condition element_e_power_nonneg failed",)),
+        # z^15 f1 has the degree of z^23 f0 but is not the target rewrite
+        (0, "can_image", ExpMonomial(e_pow=0, z_pow=15, f_index=1),
+         ("target does not match the step-0 can image",)),
+        (1, "can_image", ExpMonomial(e_pow=0, z_pow=26, f_index=0),
+         ("chain link broken between steps 0 and 1",)),
+        (1, "fdeg_phi", 30,
+         ("filtration fails to ascend at step 1",
+          "step 1 filtration degree mismatch")),
+        (1, "fdeg_can", 72,
+         ("step 1 clears a term beyond the truncation",
+          "step 1 filtration degree mismatch")),
+        (1, "fdeg_can", 31, ("step 1 filtration degree mismatch",)),
+        (2, "fdeg_phi", 71,
+         ("step 2 filtration degree mismatch",
+          "final remainder is below the truncation bound")),
+    ],
+    ids=["side", "target", "link", "ascent", "window", "degree", "final"],
+)
+def test_every_producer_check_can_fail(j, field, value, failures, monkeypatch):
+    honest = zpn.telescoping_step
+
+    def corrupted(p, n, k):
+        w = honest(p, n, k)
+        return replace(w, **{field: value}) if k == j else w
+
+    monkeypatch.setattr(zpn, "telescoping_step", corrupted)
+    cert = certify_vanishing(3, 4)
+    assert cert.verified is False
+    assert cert.failures == failures
 
 
 # --------------------------------------------------------- bott partial
