@@ -18,9 +18,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import PrimeContext
 from .verifier import verify_certificate
 from .zp import NamedClass, named_basis
-from .zpn import VanishingCertificate, bott_tower_size, certify_vanishing
+from .zpn import bott_tower_size, certify_vanishing
 
 HLS_SURJECTIVITY = "HLS_SURJECTIVITY"
 HLS_CRYSTALLINITY = "HLS_CRYSTALLINITY"
@@ -64,34 +65,23 @@ def axiom_catalog(used: set[str]) -> tuple[AxiomTag, ...]:
     )
 
 
-def _as_cert_dict(certificate) -> dict:
-    if isinstance(certificate, VanishingCertificate):
-        return certificate.to_dict()
-    if isinstance(certificate, dict):
-        return certificate
-    raise TypeError("certificate must be a VanishingCertificate or its dict form")
-
-
-def _require_verified(p: int, n: int, certificate=None) -> dict:
-    """The re-verified dict of certificate, produced for (p, n) if None."""
-    if certificate is None:
-        certificate = certify_vanishing(p, n)
-    data = _as_cert_dict(certificate)
-    if data.get("p") != p or data.get("n") != n:
-        raise ValueError("certificate is for different (p, n)")
-    if data.get("verified") is not True:
-        raise ValueError("certificate is not verified by its producer")
+def _require_verified(p: int, n: int) -> dict:
+    """The dict form of the certificate for (p, n), produced here and
+    re-verified; a rejected certificate is a failed internal check."""
+    data = certify_vanishing(p, n).to_dict()
     report = verify_certificate(data)
     if not report:
-        raise ValueError(f"certificate failed re-verification: {report.errors}")
+        raise ArithmeticError(
+            f"certificate failed re-verification: {report.errors}"
+        )
     return data
 
 
 @dataclass(frozen=True)
 class H2Tower:
     """Basis classes of positive-weight H^2 together with the external
-    inputs their span and cut rely on.  Iterates and indexes as the class
-    tuple so callers can treat it as the basis list."""
+    inputs their span and cut rely on.  Iterates as the class tuple so
+    callers can treat it as the basis list."""
 
     classes: tuple[NamedClass, ...]
     axioms: tuple[AxiomTag, ...]
@@ -102,9 +92,6 @@ class H2Tower:
     def __iter__(self):
         return iter(self.classes)
 
-    def __getitem__(self, k):
-        return self.classes[k]
-
 
 def _h2_class(p: int, w: int) -> NamedClass:
     """The one named H^2 class in weight w, or fail loudly."""
@@ -114,19 +101,19 @@ def _h2_class(p: int, w: int) -> NamedClass:
     return matches[0]
 
 
-def h2_basis(p: int, n: int, certificate=None) -> H2Tower:
+def h2_basis(p: int, n: int) -> H2Tower:
     """The del lambda1 Bott tower spanning positive-weight H^2 for Z/p^n.
 
     One class per k in 0..p^(n-2)-1, in syntomic weight p + k(p-1).  The
-    upper cut is exactly what the vanishing certificate kills, so a verified
-    certificate for (p, n) is required (one is produced on demand).  The
+    upper cut is exactly what the vanishing certificate kills, so the
+    certificate for (p, n) is produced and must pass re-verification.  The
     returned tags record the transport inputs: the upper bound rides the
     surjectivity axiom, the nonvanishing rides the crystallinity axiom.
     The tower is built class by class, so (p, n) with p^(n-2) above
     MAX_BOTT_TOWER (4096) raise ValueError before any work is done.
     """
     size = bott_tower_size(p, n)
-    _require_verified(p, n, certificate)
+    _require_verified(p, n)
     return H2Tower(
         classes=tuple(_h2_class(p, p + k * (p - 1)) for k in range(size)),
         axioms=axiom_catalog({HLS_SURJECTIVITY, HLS_CRYSTALLINITY}),
@@ -152,34 +139,21 @@ class KTable:
     certificate: dict
 
 
-def k_even_table(p: int, n: int, i_max: int, certificate=None) -> KTable:
+def k_even_table(p: int, n: int, i_max: int) -> KTable:
     """Vanishing pattern of K_(2i)(Z/p^n) for 0 <= i <= i_max.
 
-    Nonzero exactly at i = 0 and at the Bott-multiple weights permitted by
-    the H^2 tower; the pattern is cross-checked against the tower's weight
-    list and the computation aborts on any mismatch.
+    Nonzero exactly at the multiples of p - 1 up to the weight of the
+    re-verified vanishing certificate, (p-1) p^(n-2); each positive nonzero
+    row names its H^2 class and aborts if there is not exactly one.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if i_max < 0:
         raise ValueError("need i_max >= 0")
-    cert = _require_verified(p, n, certificate)
-    sharp = (p - 1) * p ** (n - 2)
-    # every weight looked up below (at most i_max + 1) has its k <= i_max
-    ks = range(min(p ** (n - 2), i_max + 1))
-    bott_weights = {(k + 1) * (p - 1) for k in ks}
-    tower_weights = {p + k * (p - 1) for k in ks}
+    cert = _require_verified(p, n)
     used: set[str] = set()
     rows = []
     for i in range(i_max + 1):
-        nz = i == 0 or (i % (p - 1) == 0 and 1 <= i <= sharp)
-        if i >= 1:
-            alt = i in bott_weights
-            if alt != nz:
-                raise ArithmeticError(f"vanishing predicates disagree at i={i}")
-            cls = (i + 1) in tower_weights
-            if cls != nz:
-                raise ArithmeticError(f"H^2 tower disagrees at i={i}")
         if i == 0:
             rows.append(
                 KTableRow(
@@ -190,7 +164,7 @@ def k_even_table(p: int, n: int, i_max: int, certificate=None) -> KTable:
                     axioms=(),
                 )
             )
-        elif nz:
+        elif i % (p - 1) == 0 and i <= cert["weight"]:
             used.add(HLS_CRYSTALLINITY)
             rows.append(
                 KTableRow(
@@ -235,36 +209,17 @@ class NilpotenceReport:
     p: int
     n: int
     order: int
-    divisibility_ok: bool
-    torsion_floor_ok: bool | None
     homotopy_ring_valid: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.divisibility_ok and self.torsion_floor_ok is not False
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def v1_nilpotence_order(p: int, n: int) -> NilpotenceReport:
     """Least Bott power killed in the mod p theory of Z/p^n: the repunit
-    (p^n - 1)/(p - 1).  Checked by exact division; for n >= 2 the order must
-    exceed the surviving tower length p^(n-2).  Only for p >= 5 does the
-    statement transfer verbatim to the homotopy ring (at small primes the
-    named element is not defined there)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    order = (p**n - 1) // (p - 1)
-    div_ok = (p - 1) * order == p**n - 1
-    floor_ok = (order - 1 >= p ** (n - 2)) if n >= 2 else None
+    (p^n - 1)/(p - 1).  Only for p >= 5 does the statement transfer verbatim
+    to the homotopy ring (at small primes the named element is not defined
+    there)."""
+    PrimeContext(p, n)  # validates p and n
     return NilpotenceReport(
-        p=p,
-        n=n,
-        order=order,
-        divisibility_ok=div_ok,
-        torsion_floor_ok=floor_ok,
-        homotopy_ring_valid=p >= 5,
+        p=p, n=n, order=(p**n - 1) // (p - 1), homotopy_ring_valid=p >= 5
     )
 
 
@@ -295,6 +250,9 @@ def bound_comparison(p: int, n: int) -> BoundComparison:
     The prior bound kills K_(2i) once i - 1 >= (p/(p-1))^2 (p^n - 1); the
     sharp table kills everything past i = (p-1) p^(n-2).  Exact rational
     arithmetic, no floats."""
+    PrimeContext(p)  # validates p
+    if n < 2:
+        raise ValueError("need n >= 2")
     threshold = Fraction(p, p - 1) ** 2 * (p**n - 1)
     prior = math.ceil(threshold + 1)
     sharp = (p - 1) * p ** (n - 2)

@@ -139,8 +139,9 @@ def test_criterion_6_nilpotence_orders(acceptance_record):
         for n in range(1, 7):
             rep = v1_nilpotence_order(p, n)
             want = (p**n - 1) // (p - 1)
-            floor_ok = rep.torsion_floor_ok is (True if n >= 2 else None)
-            if not (rep.order == want and rep.divisibility_ok and floor_ok):
+            divides = (p - 1) * rep.order == p**n - 1
+            floor_ok = n < 2 or rep.order - 1 >= p ** (n - 2)
+            if not (rep.order == want and divides and floor_ok):
                 failures.append((p, n, rep))
             pairs += 1
     _verdict(

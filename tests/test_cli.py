@@ -4,7 +4,7 @@ import time
 import pytest
 
 from syntomic.cli import main
-from syntomic.verifier import SampleReport
+from syntomic.verifier import SampleReport, VerifierReport
 
 
 def test_usage_errors_exit_one(capsys):
@@ -185,8 +185,14 @@ def test_outputs_are_byte_deterministic(argv, tmp_path, monkeypatch, capsys):
             ["ktable", "--p", "2", "--n", "3", "--imax", "4"],
             "expected one H^2 class in weight 2",
         ),
+        (
+            "syntomic.ktheory.verify_certificate",
+            lambda data: VerifierReport(ok=False, checks=(), errors=("forced",)),
+            ["ktable", "--p", "3", "--n", "3", "--imax", "5"],
+            "certificate failed re-verification: ('forced',)",
+        ),
     ],
-    ids=["zp", "certify", "ktable"],
+    ids=["zp", "certify", "ktable", "ktable-reverify"],
 )
 def test_failed_cross_check_exits_two(
     target, fake, argv, message, tmp_path, monkeypatch, capsys

@@ -1,6 +1,7 @@
 """Vanishing tables, the Bott tower, nilpotence orders, bound comparisons."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -98,20 +99,20 @@ def test_oversized_tower_is_refused_before_any_work(p, n, monkeypatch):
         h2_basis(p, n)
 
 
-def test_certificate_must_match_and_verify():
-    wrong_pair = certify_vanishing(3, 4)
-    with pytest.raises(ValueError, match="different"):
-        k_even_table(3, 3, 5, certificate=wrong_pair)
-    data = certify_vanishing(3, 3).to_dict()
-    data["verified"] = False
-    with pytest.raises(ValueError, match="not verified"):
-        k_even_table(3, 3, 5, certificate=data)
-    tampered = certify_vanishing(3, 3).to_dict()
-    tampered["steps"][0]["element"]["e_pow"] += 1
-    with pytest.raises(ValueError, match="re-verification"):
-        h2_basis(3, 3, certificate=tampered)
-    with pytest.raises(TypeError):
-        k_even_table(3, 3, 5, certificate=42)
+def test_rejected_certificate_is_a_failed_check(monkeypatch):
+    honest = certify_vanishing(3, 3)
+    step = honest.steps[0]
+    element = replace(step.element, e_pow=step.element.e_pow + 1)
+    tampered = replace(
+        honest, steps=(replace(step, element=element),) + honest.steps[1:]
+    )
+    monkeypatch.setattr(
+        "syntomic.ktheory.certify_vanishing", lambda p, n: tampered
+    )
+    with pytest.raises(ArithmeticError, match="re-verification"):
+        k_even_table(3, 3, 5)
+    with pytest.raises(ArithmeticError, match="re-verification"):
+        h2_basis(3, 3)
 
 
 def test_k_even_table_verifies_its_certificate_once(monkeypatch):
@@ -124,8 +125,6 @@ def test_k_even_table_verifies_its_certificate_once(monkeypatch):
     monkeypatch.setattr("syntomic.ktheory.verify_certificate", counting)
     k_even_table(3, 3, 10)
     assert len(calls) == 1
-    k_even_table(3, 3, 10, certificate=certify_vanishing(3, 3))
-    assert len(calls) == 2
 
 
 def test_k_even_table_names_only_its_own_rows(monkeypatch):
@@ -155,19 +154,31 @@ def test_nilpotence_orders_are_repunits(p):
     for n in range(1, 7):
         report = v1_nilpotence_order(p, n)
         assert report.order == NILPOTENCE_ORDERS[p][n - 1]
-        assert report.divisibility_ok
-        if n == 1:
-            assert report.torsion_floor_ok is None
-        else:
-            assert report.torsion_floor_ok is True
+        assert (p - 1) * report.order == p**n - 1
+        if n >= 2:
             assert report.order - 1 >= p ** (n - 2)
         assert report.homotopy_ring_valid == (p >= 5)
-        assert bool(report)
 
 
 def test_nilpotence_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         v1_nilpotence_order(2, 0)
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, -3])
+def test_nilpotence_rejects_non_prime_p(p):
+    with pytest.raises(ValueError, match="not prime"):
+        v1_nilpotence_order(p, 2)
+
+
+@pytest.mark.parametrize(
+    "p,n,message",
+    [(4, 2, "not prime"), (1, 2, "not prime"), (0, 3, "not prime"),
+     (3, 1, "n >= 2"), (3, 0, "n >= 2")],
+)
+def test_bound_comparison_rejects_bad_input(p, n, message):
+    with pytest.raises(ValueError, match=message):
+        bound_comparison(p, n)
 
 
 @pytest.mark.parametrize(
