@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -310,6 +311,161 @@ def test_tail_inherited_from_the_pivot_column_blocks_at_its_first_free_row():
     assert res.status == INDETERMINATE
     assert res.rank == 1
     assert res.blocking == (1, ("R", 3))
+
+
+# ------------------------------------------------------ soundness oracle
+
+
+def _oracle_case(rng, p):
+    """Columns over two corners of degrees below 4: up to four columns of
+    known, unit and unknown terms with tails, rows degree-sorted or (30%)
+    shuffled.  A third of the cases with two or more columns make the last
+    column in-span, a known combination of some of the others; the span
+    relation is returned as {column: [(coefficient, other column), ...]}."""
+    degrees = {t: sorted(rng.sample(range(4), rng.randint(1, 4))) for t in "AB"}
+    rows = [(t, d) for t in degrees for d in degrees[t]]
+    if rng.random() < 0.3:
+        rng.shuffle(rows)
+    else:
+        rows.sort(key=lambda r: (r[1], r[0]))
+    ncols = rng.randint(1, 4)
+    cols = {}
+    for c in range(ncols):
+        parts = {}
+        for t, degs in degrees.items():
+            tail = None
+            if rng.random() < 0.4:
+                tail = rng.choice(degs + [degs[-1] + 1])
+            terms = []
+            for d in degs:
+                x = rng.random()
+                if (tail is not None and d >= tail) or x < 0.45:
+                    continue
+                if x < 0.7:
+                    terms.append((d, known(rng.randrange(1, p), p)))
+                else:
+                    terms.append((d, UNIT_ENTRY if x < 0.88 else UNKNOWN_ENTRY))
+            parts[t] = Series(terms=tuple(terms), tail_from=tail)
+        cols[c] = parts
+    span = {}
+    if ncols > 1 and rng.random() < 0.35:
+        last = ncols - 1
+        others = rng.sample(range(last), rng.randint(1, last))
+        span[last] = [(rng.randrange(1, p), o) for o in others]
+        for t in degrees:
+            pairs = [
+                (d, scalar_mul(known(a, p), e, p))
+                for a, o in span[last]
+                for d, e in cols[o][t].terms
+            ]
+            tails = [cols[o][t].tail_from for _, o in span[last]]
+            tail = min((s for s in tails if s is not None), default=None)
+            cols[last][t] = series_window(p, pairs, tail_from=tail)
+    return cols, rows, span
+
+
+def _free_entries(cols, rows, span):
+    """The symbolic entries of the columns outside the span, tail rows
+    included: (column, row, is_unit) each."""
+    out = []
+    for c, parts in cols.items():
+        if c in span:
+            continue
+        for t, s in parts.items():
+            out += [(c, (t, d), e.kind == UNIT) for d, e in s.terms if e.kind != KNOWN]
+            if s.tail_from is not None:
+                out += [(c, r, False) for r in rows if r[0] == t and r[1] >= s.tail_from]
+    return out
+
+
+def _instantiations(free, p, rng):
+    """Every assignment of the free entries for p <= 3 and at most eight of
+    them, else 200 sampled ones; units range over nonzero values."""
+    ranges = [range(1, p) if unit else range(p) for _, _, unit in free]
+    if p <= 3 and len(free) <= 8:
+        return itertools.product(*ranges)
+    return ([rng.choice(r) for r in ranges] for _ in range(200))
+
+
+def _instantiate(cols, span, free, values, p):
+    """Plain {row: int} columns; in-span columns are their combinations."""
+    inst = {
+        c: {(t, d): e.value for t, s in parts.items() for d, e in s.terms
+            if e.kind == KNOWN}
+        for c, parts in cols.items()
+        if c not in span
+    }
+    for (c, r, _), v in zip(free, values):
+        inst[c][r] = v
+    for c, combo in span.items():
+        acc = {}
+        for a, other in combo:
+            for r, v in inst[other].items():
+                acc[r] = (acc.get(r, 0) + a * v) % p
+        inst[c] = acc
+    return inst
+
+
+def _reduce_in_pivot_order(inst, pivots, p):
+    """Plain columns reduced the way the pivots claim: at each pivot (r, c)
+    in order, c's entry on r must be nonzero, and c then clears row r in
+    every column that has not pivoted yet.  The pivot minor ends up
+    lower-triangular with that nonzero diagonal, a witness of rank >=
+    len(pivots) on this instantiation."""
+    red = {c: dict(col) for c, col in inst.items()}
+    done = set()
+    for r, c in pivots:
+        piv = red[c]
+        assert piv.get(r, 0) % p, f"pivot {c!r} vanishes on {r!r}"
+        done.add(c)
+        inv = pow(piv[r], -1, p)
+        for cc, col in red.items():
+            f = col.get(r, 0) * inv % p
+            if f and cc not in done:
+                for rr, v in piv.items():
+                    col[rr] = (col.get(rr, 0) - f * v) % p
+    return red
+
+
+@pytest.mark.parametrize("p, draws", [(2, 600), (3, 300), (5, 120), (7, 120)])
+def test_elimination_claims_hold_on_every_instantiation(p, draws):
+    # ground truth is dense F_p elimination of plain instantiations, which
+    # shares nothing with the engine but the pivots it is asked to check
+    rng = random.Random(100 + p)
+    statuses = {CERTIFIED: 0, INDETERMINATE: 0}
+    for _ in range(draws):
+        cols, rows, span = _oracle_case(rng, p)
+        res = certified_eliminate(cols, rows, p, in_span=list(span))
+        statuses[res.status] += 1
+        pivot_cols = [c for _, c in res.pivots]
+        pivot_rows = {r for r, _ in res.pivots}
+        pivotless = sorted(c for c in cols if c not in span and c not in pivot_cols)
+        assert res.rank == len(pivot_cols) == len(set(pivot_cols))
+        assert res.total_columns == len(cols)
+        if res.status == CERTIFIED:
+            assert res.blocking is None
+            assert res.kernel_columns == tuple(pivotless) + tuple(sorted(span))
+            before_blocking = []
+        else:
+            c, r = res.blocking
+            assert c in pivotless and r in rows and r not in pivot_rows
+            before_blocking = rows[: rows.index(r)]
+        kernel = [c for c in res.kernel_columns if c not in span]
+        free = _free_entries(cols, rows, span)
+        for values in _instantiations(free, p, rng):
+            inst = _instantiate(cols, span, free, values, p)
+            red = _reduce_in_pivot_order(
+                {c: col for c, col in inst.items() if c not in span}, res.pivots, p
+            )
+            for c in kernel:
+                assert not any(red[c].values()), (cols, rows, span, values)
+            if res.status == CERTIFIED:
+                assert fp_rank(inst.values(), p) == res.rank, (cols, rows, span)
+            else:
+                # the blocking row is the first one the reduced column may hold
+                blocked = red[res.blocking[0]]
+                assert not any(blocked.get(rr, 0) for rr in before_blocking)
+    assert min(statuses.values()) > draws // 5
 
 
 # ------------------------------------------------- differential reference
