@@ -16,6 +16,7 @@ from some degree on (the image of a truncation remainder).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -132,12 +133,13 @@ def series_window(
     tail (known + independent unknown is unknown, which the tail carries).
     """
     acc: dict[int, Scalar] = {}
+    zero = known(0, p)
     for d, s in pairs:
         if top is not None and d > top:
             continue
         if tail_from is not None and d >= tail_from:
             continue
-        acc[d] = scalar_add(acc.get(d, known(0, p)), s, p)
+        acc[d] = scalar_add(acc.get(d, zero), s, p)
     if tail_from is not None and top is not None and tail_from > top:
         tail_from = None
     terms = tuple(
@@ -199,12 +201,17 @@ def certified_eliminate(
     pairs.  A tail stands for an independent unknown on each row of its
     corner from tail_from up; tails are never expanded into entries.
 
-    Rows are visited once, in the given order.  At each row the lowest
-    pivotless column with a certainly nonzero entry there becomes a pivot and
-    is subtracted from every other pivotless column holding an entry on that
-    row: the pivot-row entry cancels exactly, the other explicit terms
-    combine conservatively, each corner keeps the lower of the two tails, and
-    explicit terms that land inside a tail are absorbed by it.
+    Rows are visited once, in the given order.  The candidates at row
+    (tag, d) are the pivotless columns with an explicit term there, found
+    through a row index, and those whose tail on tag starts at or below d,
+    found as a prefix of a per-corner list sorted by tail_from.  The lowest
+    candidate with a certainly nonzero explicit entry becomes a pivot and is
+    subtracted from every other candidate: the pivot-row entry cancels
+    exactly, the other explicit terms combine conservatively, each corner
+    keeps the lower of the two tails, and explicit terms that land inside a
+    tail are absorbed by it.  A combined column is re-indexed under the rows
+    and tails it now has.  A row therefore costs time in its candidates and
+    the terms they combine, not in the number of columns.
     Already-pivoted columns are never touched again: their entries on later
     rows sit strictly below their own pivot row, so they cannot damage the
     lower-triangular pivot minor that witnesses the rank.
@@ -228,7 +235,7 @@ def certified_eliminate(
             raise ValueError(f"in-span column {c!r} not among the columns")
     rows = set(row_order)
     # each working column: explicit terms keyed by row, tail_from by corner
-    work: dict[Any, tuple[dict[Any, Scalar], dict[Any, int]]] = {}
+    graded: dict[Any, tuple[dict[Any, Scalar], dict[Any, int]]] = {}
     for c, parts in columns.items():
         terms: dict[Any, Scalar] = {}
         tails: dict[Any, int] = {}
@@ -240,36 +247,67 @@ def certified_eliminate(
             if series.tail_from is not None:
                 tails[tag] = series.tail_from
         if c not in span:
-            work[c] = (terms, tails)
+            graded[c] = (terms, tails)
+    # working columns are keyed by their position in sorted order, so the
+    # lowest of them is the smallest int
+    order = sorted(graded)
+    work = [graded[c] for c in order]
 
-    def entry(c: Any, r: tuple[Any, int]) -> Scalar | None:
-        """The entry of column c on a row that is not a pivot row."""
-        terms, tails = work[c]
+    def entry(j: int, r: tuple[Any, int]) -> Scalar | None:
+        """The entry of column j on a row that is not a pivot row."""
+        terms, tails = work[j]
         e = terms.get(r)
         return UNKNOWN_ENTRY if e is None and _in_tail(tails, r) else e
 
+    # the pivotless columns by row of an explicit term, and by corner as
+    # sorted (tail_from, column) pairs
+    at_row: dict[Any, list[int]] = {}
+    tail_index: dict[Any, list[tuple[int, int]]] = {}
+
+    def index(j: int) -> None:
+        terms, tails = work[j]
+        for r in terms:
+            at_row.setdefault(r, []).append(j)
+        for tag, start in tails.items():
+            insort(tail_index.setdefault(tag, []), (start, j))
+
+    def unindex(j: int) -> None:
+        terms, tails = work[j]
+        for r in terms:
+            at_row[r].remove(j)
+        for tag, start in tails.items():
+            tail_list = tail_index[tag]
+            del tail_list[bisect_left(tail_list, (start, j))]
+
+    for j in range(len(order)):
+        index(j)
     zero = known(0, p)
-    live = sorted(work)  # the pivotless columns, lowest first
+    after_last = len(order)  # above every column position
     pivots: list[tuple[Any, Any]] = []
+    pivoted: set[int] = set()
     for r in row_order:
-        pivot_col = None
-        for c in live:
-            e = work[c][0].get(r)  # a tail entry is never certainly nonzero
-            if e is not None and certainly_nonzero(e):
-                pivot_col = c
-                break
+        here = at_row.get(r)
+        if not here:
+            continue
+        # a tail entry is never certainly nonzero
+        pivot_col = min(
+            (j for j in here if certainly_nonzero(work[j][0][r])), default=None
+        )
         if pivot_col is None:
             continue
-        pivots.append((r, pivot_col))
-        live.remove(pivot_col)
+        pivots.append((r, order[pivot_col]))
+        pivoted.add(pivot_col)
+        unindex(pivot_col)
+        # reduce every column with an entry on r: explicit, or in a tail
+        tail_list = tail_index.get(r[0], [])
+        in_tail = tail_list[: bisect_right(tail_list, (r[1], after_last))]
+        targets = {*here, *(j for _, j in in_tail)}
         pterms, ptails = work[pivot_col]
         pval = pterms[r]
-        for c in live:
-            e = entry(c, r)
-            if e is None:
-                continue
-            coef = scalar_div(e, pval, p)
-            terms, tails = work[c]
+        for j in targets:
+            coef = scalar_div(entry(j, r), pval, p)
+            unindex(j)
+            terms, tails = work[j]
             merged = dict(ptails)
             for tag, start in tails.items():
                 merged[tag] = min(start, merged.get(tag, start))
@@ -282,17 +320,19 @@ def certified_eliminate(
                 nv = scalar_add(lhs, scalar_neg(sub, p), p)
                 if not is_known_zero(nv):
                     combined[rr] = nv
-            work[c] = (combined, merged)
+            work[j] = (combined, merged)
+            index(j)
+    live = [j for j in range(len(order)) if j not in pivoted]
     pivot_rows = {r for r, _ in pivots}
     free_rows = [r for r in row_order if r not in pivot_rows]
     blocking = None
     kernel = []
-    for c in live:
-        first = next((r for r in free_rows if entry(c, r) is not None), None)
+    for j in live:
+        first = next((r for r in free_rows if entry(j, r) is not None), None)
         if first is None:
-            kernel.append(c)
+            kernel.append(order[j])
         elif blocking is None:
-            blocking = (c, first)
+            blocking = (order[j], first)
     status = CERTIFIED if blocking is None else INDETERMINATE
     kernel.extend(sorted(span))
     return EliminationResult(

@@ -76,6 +76,7 @@ def _square(p: int, i: int, window: WindowCutoffs, label: str) -> SquareComplex:
     tr = tuple((k, k + i - 1) for k in range(1, window.tr - i + 2))
     bl = tuple((m, m) for m in range(window.bl + 1))
     br = tuple((d, d) for d in range(1, window.br + 1))
+    one, minus_one = known(1, p), known(-1, p)
 
     nabla_top: dict[int, Series] = {}
     v_left: dict[int, Series] = {}
@@ -83,7 +84,7 @@ def _square(p: int, i: int, window: WindowCutoffs, label: str) -> SquareComplex:
         # can lands on z^(k+i), phi on z^(pk), both exact; they coincide
         # exactly at k (p-1) = i and the window sum cancels them there
         v_left[k] = series_window(
-            p, [(k + i, known(1, p)), (p * k, known(-1, p))], top=window.bl
+            p, [(k + i, one), (p * k, minus_one)], top=window.bl
         )
         if _exact_zero_vertical(p, i, k):
             nabla_top[k] = Series()
@@ -97,7 +98,7 @@ def _square(p: int, i: int, window: WindowCutoffs, label: str) -> SquareComplex:
         # right after the frobenius degree (and may swallow the can term)
         v_right[k] = series_window(
             p,
-            [(k + i - 1, known(1, p)), (p * k, known(-1, p))],
+            [(k + i - 1, one), (p * k, minus_one)],
             tail_from=p * k + 1,
             top=window.br,
         )

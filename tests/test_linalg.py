@@ -481,6 +481,8 @@ def test_square_eliminations_match_the_reference(p):
     squares = [
         build_zp_square(p, i, extra) for i in range(3 * p + 1) for extra in (0, 1, 2)
     ] + [mod_v1_square(p, i) for i in range(2 * p + 2)]
+    # the benchmark's large squares, with thousands of rows
+    squares += [build_zp_square(p, i) for i in {2: (150, 300), 3: (300,)}.get(p, ())]
     for sq in squares:
         rep = square_cohomology(sq)
         ref0, ref1 = reference_square_eliminations(sq)
@@ -488,19 +490,24 @@ def test_square_eliminations_match_the_reference(p):
         assert _fields(rep.d1) == _fields(ref1), sq.label
 
 
-def _random_graded_matrix(rng):
+def _random_graded_matrix(
+    rng, degree_bound=8, max_degrees=5, max_cols=8, sorted_share=0.5
+):
     """Columns of one or two corners mixing known, unit and unknown terms,
     with tails, over a shuffled or a degree-sorted row order."""
     p = rng.choice((2, 3, 5))
     tags = ("A", "B")[: rng.randint(1, 2)]
-    degrees = {t: sorted(rng.sample(range(8), rng.randint(1, 5))) for t in tags}
+    degrees = {
+        t: sorted(rng.sample(range(degree_bound), rng.randint(1, max_degrees)))
+        for t in tags
+    }
     rows = [(t, d) for t in tags for d in degrees[t]]
-    if rng.random() < 0.5:
+    if rng.random() < 1 - sorted_share:
         rng.shuffle(rows)
     else:
         rows.sort(key=lambda r: (r[1], r[0]))
     cols = {}
-    for c in range(rng.randint(1, 8)):
+    for c in range(rng.randint(1, max_cols)):
         parts = {}
         for t in tags:
             if rng.random() < 0.2:
@@ -540,3 +547,20 @@ def test_random_graded_matrices_match_the_reference():
         tailed_corners[len(tails)] += 1
     # both outcomes, and tails in no, one and two corners, are well sampled
     assert min(statuses.values()) > 500 and min(tailed_corners.values()) > 200
+
+
+def test_wide_random_graded_matrices_match_the_reference():
+    # up to 40 columns over up to 32 rows: pivot columns carry many terms, so
+    # reductions fill in new rows and merge tails, and the reduced columns
+    # must be found again by the rows they now touch
+    rng = random.Random(8)
+    statuses = {CERTIFIED: 0, INDETERMINATE: 0}
+    for _ in range(300):
+        p, cols, rows, span = _random_graded_matrix(
+            rng, degree_bound=24, max_degrees=16, max_cols=40, sorted_share=0.8
+        )
+        res = certified_eliminate(cols, rows, p, in_span=span)
+        flat = {c: materialized_column(parts, rows, p) for c, parts in cols.items()}
+        assert _fields(res) == _fields(reference_eliminate(flat, rows, p, span))
+        statuses[res.status] += 1
+    assert min(statuses.values()) > 10
