@@ -289,19 +289,24 @@ def certified_eliminate(
         here = at_row.get(r)
         if not here:
             continue
-        # a tail entry is never certainly nonzero
-        pivot_col = min(
-            (j for j in here if certainly_nonzero(work[j][0][r])), default=None
-        )
+        pivot_col = None
+        for j in here:  # a tail entry is never certainly nonzero
+            if (pivot_col is None or j < pivot_col) and certainly_nonzero(
+                work[j][0][r]
+            ):
+                pivot_col = j
         if pivot_col is None:
             continue
         pivots.append((r, order[pivot_col]))
         pivoted.add(pivot_col)
         unindex(pivot_col)
-        # reduce every column with an entry on r: explicit, or in a tail
-        tail_list = tail_index.get(r[0], [])
-        in_tail = tail_list[: bisect_right(tail_list, (r[1], after_last))]
-        targets = {*here, *(j for _, j in in_tail)}
+        # reduce every column with an entry on r: an explicit term, or else
+        # (explicit terms sit below a tail) a tail from r[1] or lower
+        targets = list(here)
+        tail_list = tail_index.get(r[0])
+        if tail_list:
+            in_tail = tail_list[: bisect_right(tail_list, (r[1], after_last))]
+            targets += [j for _, j in in_tail]
         pterms, ptails = work[pivot_col]
         pval = pterms[r]
         for j in targets:
