@@ -37,7 +37,6 @@ from .zp import (
     mod_v1_cohomology,
     mod_v1_square,
     named_basis,
-    syntomic_basis_table,
     zp_cohomology,
 )
 from .zpn import (
@@ -78,7 +77,6 @@ __all__ = [
     "nygaard_truncation_bound",
     "sample_certificate",
     "square_cohomology",
-    "syntomic_basis_table",
     "telescoping_step",
     "v1_nilpotence_order",
     "v1_power_partial_representative",

@@ -334,37 +334,6 @@ def mod_v1_cohomology(p: int, i: int) -> CohomologyReport:
     return replace(rep, generators=names)
 
 
-@dataclass(frozen=True)
-class WeightRow:
-    weight: int
-    status: str
-    h0: int | None
-    h1: int | None
-    h2: int | None
-    generators: tuple[str, ...]
-
-
-def syntomic_basis_table(
-    p: int, i_max: int, i_min: int = 0
-) -> tuple[WeightRow, ...]:
-    """Named generators of the mod p syntomic cohomology in weights
-    i_min..i_max."""
-    rows = []
-    for i in range(i_min, i_max + 1):
-        rep = zp_cohomology(p, i)
-        rows.append(
-            WeightRow(
-                weight=i,
-                status=rep.status,
-                h0=rep.h0,
-                h1=rep.h1,
-                h2=rep.h2,
-                generators=tuple(c.name for c in rep.generators),
-            )
-        )
-    return tuple(rows)
-
-
 # multiplicative structure on representatives: the Bott class acts on the
 # left column by z E^(p-1) t^-(p-1) and on the bottom row by z^p t^-(p-1)
 

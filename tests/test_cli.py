@@ -1,10 +1,13 @@
+import hashlib
 import json
+import sys
 import time
 
 import pytest
 
 from syntomic.cli import main
 from syntomic.verifier import SampleReport, VerifierReport
+from syntomic.zp import zp_cohomology
 
 
 def test_usage_errors_exit_one(capsys):
@@ -76,6 +79,21 @@ def test_zp_single_weight_csv(capsys):
     assert lines[1].startswith("3,1,3,1,CERTIFIED,")
 
 
+def test_zp_json_rows_are_the_reports(capsys):
+    assert main(["zp", "--p", "3", "--weights", "0..9", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    rows = json.loads(out)["rows"]
+    assert [r["weight"] for r in rows] == list(range(10))
+    for row in rows:
+        rep = zp_cohomology(3, row["weight"])
+        assert row["h"] == list(rep.dims)
+        assert row["status"] == rep.status
+        assert row["generators"] == [c.name for c in rep.generators]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "82c88600f86ecfb2fc56bf2d3f292e00a2fb6c2612c633a30c47ba027e433a7f"
+    )
+
+
 def test_output_dir_env_joins_relative_paths(tmp_path, monkeypatch):
     monkeypatch.setenv("SYNTOMIC_OUTPUT_DIR", str(tmp_path))
     code = main(
@@ -99,6 +117,34 @@ def test_unwritable_output_is_a_clean_usage_error(tmp_path, monkeypatch, capsys)
                  "--output", "x.json"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit"
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--n", "240", "--samples", "1"],
+        ["ktable", "--n", "240", "--imax", "3", "--format", "json"],
+    ],
+    ids=["certify", "ktable"],
+)
+def test_unwritable_result_exits_one(argv, tmp_path, monkeypatch, capsys):
+    # at n=240 a 61-bit p gives integers past the default 4300-digit limit
+    # of int-to-str conversion, so json serialization raises ValueError
+    monkeypatch.chdir(tmp_path)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = main(argv[:1] + ["--p", str(2**61 - 1)] + argv[1:])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []  # nothing written
 
 
 def test_certify_default_path_and_summary(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
-"""Import hygiene: the runtime needs only the standard library, and the
-verifier shares no code with the producer it checks."""
+"""Import hygiene: the runtime needs only the standard library, every
+imported name is used, and the verifier shares no code with the producer it
+checks."""
 
 import ast
 import sys
@@ -35,3 +36,19 @@ def test_imports_are_stdlib_or_the_package(path):
 def test_verifier_imports_nothing_from_the_package():
     for name, level in _imported(PACKAGE / "verifier.py"):
         assert not level and name != "syntomic", (name, level)
+
+
+@pytest.mark.parametrize(
+    "path", [m for m in MODULES if m.name != "__init__.py"], ids=lambda m: m.name
+)
+def test_every_imported_name_is_used(path):
+    # annotations stay in the tree under `from __future__ import annotations`
+    tree = ast.parse(path.read_text(), str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert bound <= used, sorted(bound - used)

@@ -33,7 +33,6 @@ from syntomic.zp import (
     named_basis,
     right_window,
     standard_cutoffs,
-    syntomic_basis_table,
     v1_bottom_action,
     v1_top_action,
     zp_cohomology,
@@ -160,16 +159,6 @@ def test_generator_matching_runs_at_every_margin(extra, monkeypatch):
     monkeypatch.setattr(zp, "square_cohomology", lose_del_column)
     with pytest.raises(ArithmeticError, match="^del column did not resolve to zero$"):
         zp_cohomology(3, 4, extra=extra)
-
-
-def test_basis_table_agrees_with_reports():
-    rows = syntomic_basis_table(3, 8)
-    assert len(rows) == 9
-    for row in rows:
-        rep = zp_cohomology(3, row.weight)
-        assert (row.h0, row.h1, row.h2) == rep.dims
-        assert row.generators == tuple(c.name for c in rep.generators)
-        assert row.status == CERTIFIED
 
 
 # ----------------------------------------------------------- truncation
