@@ -12,11 +12,11 @@ instantiated column system is triangular (each column's lowest term is its
 exact can image, with coefficient one), so a greedy peel of the lowest
 residual term is a sound and complete membership decision, and a success
 constructs an explicit preimage.  The peel keeps its residual terms in a
-heap keyed by (filtration degree, level): a term at level j and z power a
-has degree a + n*p^j, so on one level the degree fixes a, two live terms
-never share a key, and each clear pops the unique lowest term without
-scanning the others.  Dense F_p elimination over the same column space
-cross-checks the greedy solver for small truncations.
+heap keyed by (filtration degree, level), packed into one int: a term at
+level j and z power a has degree a + n*p^j, so on one level the degree
+fixes a, two live terms never share a key, and each clear pops the unique
+lowest term without scanning the others.  Dense F_p elimination over the
+same column space cross-checks the greedy solver for small truncations.
 """
 
 from __future__ import annotations
@@ -204,13 +204,42 @@ def _instantiate_units(
 ) -> dict[int, list[tuple[int, int]]]:
     """A concrete unit series per chain level: nonzero constant plus a short
     random tail.  The tails are free unknowns of the model, so any choice is
-    a legitimate instantiation."""
+    a legitimate instantiation.
+
+    Per level, in this order: a constant in [1, p), a tail length in
+    [0, max_tail], then per tail term an offset in [1, max(bound // n, 2))
+    and a coefficient in [0, p).  Each value in [a, a + m) is a plus the
+    first rng.getrandbits(m.bit_length()) below m, which is how CPython's
+    randrange(a, a + m) draws it, so a seed gives the same units and leaves
+    rng in the same state as randrange would.  An empty range (p < 2 or
+    max_tail < 0) raises ValueError before anything is drawn; the rejection
+    loop would never end on it, since getrandbits(0) is always 0.
+    """
+    if p < 2 or max_tail < 0:
+        raise ValueError(f"empty draw range: p={p}, max_tail={max_tail}")
+    getrandbits = rng.getrandbits
+    m_const, k_const = p - 1, (p - 1).bit_length()
+    m_len, k_len = max_tail + 1, (max_tail + 1).bit_length()
+    m_off = max(bound // max(n, 1), 2) - 1
+    k_off = m_off.bit_length()
+    k_coef = p.bit_length()
     units: dict[int, list[tuple[int, int]]] = {}
     for j in range(n):
-        series = [(0, rng.randrange(1, p))]
-        for _ in range(rng.randrange(0, max_tail + 1)):
-            offset = rng.randrange(1, max(bound // max(n, 1), 2))
-            series.append((offset, rng.randrange(0, p)))
+        r = getrandbits(k_const)
+        while r >= m_const:
+            r = getrandbits(k_const)
+        series = [(0, 1 + r)]
+        length = getrandbits(k_len)
+        while length >= m_len:
+            length = getrandbits(k_len)
+        for _ in range(length):
+            offset = getrandbits(k_off)
+            while offset >= m_off:
+                offset = getrandbits(k_off)
+            lam = getrandbits(k_coef)
+            while lam >= p:
+                lam = getrandbits(k_coef)
+            series.append((1 + offset, lam))
         units[j] = series
     return units
 
@@ -227,43 +256,56 @@ def _greedy_membership(
     Levels only rise, and level-n terms always sit beyond the truncation and
     vanish from the residual, so the loop terminates.
 
-    Terms are keyed by (degree, j), with a = degree - n*p^j.  A key is pushed
-    onto the heap each time its term enters the residual, so every live term
-    has a key there; a popped key whose term is no longer live (it cancelled,
-    or an equal key cleared it) is skipped.
+    A term of degree d at level j, with a = d - n*p^j, is keyed by the int
+    d*n + j.  Since 0 <= j < n this is a bijection onto the ints that keeps
+    the order of the (d, j) tuples, negative d included, and floor divmod by
+    n decodes it.  A term's level-(j+1) image lands at key p*n*s + shift for
+    the shifts of level j, and beyond the truncation exactly when that key
+    is at least bound*n.  A key is pushed onto the heap each time its term
+    enters the residual, so every live term has a key there; a popped key
+    whose term is no longer live (it cancelled, or an equal key cleared it)
+    is skipped.  units must hold every level below n - 1.
     """
     weight = p ** (n - 1) - p ** (n - 2)
     bound = n * weight
     if p ** (n - 1) >= bound:
         return (True, 0)  # the target is already zero modulo the truncation
-    level_deg = [n * p**j for j in range(n)]
-    start = (p ** (n - 1) - n + level_deg[0], 0)
-    residual: dict[tuple[int, int], int] = {start: 1}
+    # the lowest degree a level-j column leads at, and the key shifts of the
+    # phi image of a level-j term; the phi remainder of level n - 1 lives
+    # beyond the truncation, so that level has none
+    lead = [n * p**j + weight - p**j for j in range(n)]
+    shifts = [
+        [((offset + n * p ** (j + 1)) * n + j + 1, lam) for offset, lam in units[j]]
+        for j in range(n - 1)
+    ]
+    shifts.append([])
+    limit = bound * n
+    step = p * n
+    start = p ** (n - 1) * n  # the target z^(p^(n-1) - n) f_0 at level 0
+    residual: dict[int, int] = {start: 1}
     heap = [start]
+    heappop, heappush = heapq.heappop, heapq.heappush
     clears = 0
     while heap:
-        key = heapq.heappop(heap)
+        key = heappop(heap)
         coef = residual.pop(key, 0)
         if coef == 0:
             continue  # no longer live: cancelled, or cleared by an equal key
-        fdeg, j = key
-        s = fdeg - level_deg[j] - (weight - p**j)
+        fdeg, j = divmod(key, n)
+        s = fdeg - lead[j]
         if s < 0:
             return (False, clears)  # no column leads at this position
         clears += 1
-        if j + 1 >= n:
-            continue  # the phi remainder lives beyond the truncation
-        up = level_deg[j + 1]
-        for offset, lam in units[j]:
-            deg = p * s + offset + up
-            if deg >= bound:
+        base = step * s
+        for shift, lam in shifts[j]:
+            pos = base + shift
+            if pos >= limit:
                 continue
-            pos = (deg, j + 1)
             old = residual.get(pos)
             val = ((old or 0) + coef * lam) % p
             if val:
                 if old is None:
-                    heapq.heappush(heap, pos)
+                    heappush(heap, pos)
                 residual[pos] = val
             elif old is not None:
                 del residual[pos]
@@ -343,10 +385,15 @@ class SampleReport:
 def sample_certificate(data: dict, samples: int = 100, seed: int = 0) -> SampleReport:
     """Sample the certified identity; cross-check greedy against dense
     elimination when the truncation window is small enough to afford it.
-    At least one sample is required: zero samples would pass vacuously."""
+    At least one sample, a prime p and n >= 2 are required: otherwise the
+    samples would pass vacuously, so a ValueError is raised before any draw."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     p, n = int(data["p"]), int(data["n"])
+    if not _is_prime(p):
+        raise ValueError(f"p={p} is not a prime below 2^64")
+    if n < 2:
+        raise ValueError(f"n={n} < 2")
     bound = n * (p ** (n - 1) - p ** (n - 2))
     rng = random.Random(seed)
     passes = 0

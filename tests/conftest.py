@@ -8,7 +8,8 @@ symbolic oracle, reference_eliminate, runs the engine's pivot rule on dict
 columns with every tail expanded into per-row unknowns; it shares only the
 scalar algebra with the engine.  reference_greedy_membership is the
 verifier's greedy peel written as a scan for the lowest residual term on
-every clear; it shares nothing with the verifier.
+every clear; it shares nothing with the verifier.  reference_instantiate_units
+draws the verifier's unit series through random.Random.randrange.
 """
 
 import pytest
@@ -344,6 +345,20 @@ def reference_square_eliminations(sq):
         reference_eliminate(cols0, rows1, p),
         reference_eliminate(cols1, rows2, p, in_span=[(1, m) for m in sq.bl_in_span]),
     )
+
+
+def reference_instantiate_units(p, n, bound, rng, max_tail=3):
+    """The verifier's unit series drawn through rng.randrange: per level a
+    nonzero constant plus a short random tail.  verifier._instantiate_units
+    must give the same units and leave rng in the same state."""
+    units = {}
+    for j in range(n):
+        series = [(0, rng.randrange(1, p))]
+        for _ in range(rng.randrange(0, max_tail + 1)):
+            offset = rng.randrange(1, max(bound // max(n, 1), 2))
+            series.append((offset, rng.randrange(0, p)))
+        units[j] = series
+    return units
 
 
 def reference_greedy_membership(p, n, units):

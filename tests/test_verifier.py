@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import reference_greedy_membership
+from conftest import reference_greedy_membership, reference_instantiate_units
 
 from syntomic.verifier import (
     SampleReport,
@@ -26,6 +26,31 @@ def test_instantiated_units_have_nonzero_constants():
     for series in units.values():
         assert series[0][0] == 0 and 1 <= series[0][1] < 5
         assert all(off > 0 for off, _ in series[1:])
+
+
+@pytest.mark.parametrize("max_tail", [0, 3, 12])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_unit_draws_are_the_randrange_draws(p, max_tail):
+    # the getrandbits rejection draws must reproduce randrange exactly, so
+    # that a past certify --seed samples the same instantiations
+    for n in range(2, 9):
+        bound = n * (p ** (n - 1) - p ** (n - 2))
+        seed = 1000 * p + 10 * n + max_tail
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            got = _instantiate_units(p, n, bound, rng, max_tail)
+            assert got == reference_instantiate_units(p, n, bound, ref, max_tail)
+        assert rng.getstate() == ref.getstate(), (p, n, max_tail)
+
+
+@pytest.mark.parametrize("p,max_tail", [(1, 3), (0, 3), (2, -1), (3, -5)])
+def test_unit_draws_refuse_an_empty_range(p, max_tail):
+    # a rejection loop on getrandbits(0) would never end
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="empty draw range"):
+        _instantiate_units(p, 3, 12, rng, max_tail)
+    assert rng.getstate() == state
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
@@ -72,6 +97,24 @@ def test_heap_peel_matches_the_reference_scan(p, max_tail):
     assert n > 4
 
 
+@pytest.mark.parametrize("p,n", [(2, 10), (3, 8)])
+def test_heap_peel_matches_the_reference_at_benchmark_sizes(p, n):
+    # the certify sizes of the zpn-large benchmark (bounds 2560 and 11664);
+    # the draws and the peel are compared together, sample by sample
+    bound = n * (p ** (n - 1) - p ** (n - 2))
+    rng, ref = random.Random(5), random.Random(5)
+    got = [
+        _greedy_membership(p, n, _instantiate_units(p, n, bound, rng))
+        for _ in range(20)
+    ]
+    want = [
+        reference_greedy_membership(p, n, reference_instantiate_units(p, n, bound, ref))
+        for _ in range(20)
+    ]
+    assert got == want
+    assert all(ok and clears for ok, clears in got)
+
+
 # Hand-built maps, not instantiations.  In the first, the negative level-1
 # offsets send the phi image of the later level-1 term (z power 34) onto the
 # level-2 term at z power 16, which the earlier one (z power 32) put there
@@ -107,6 +150,24 @@ def test_sampling_needs_at_least_one_sample(samples):
     data = certify_vanishing(3, 3).to_dict()
     with pytest.raises(ValueError, match="at least 1"):
         sample_certificate(data, samples=samples)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"p": 2, "n": 1},
+        {"p": 2, "n": 0},
+        {"p": 4, "n": 3},
+        {"p": 9, "n": 4},
+        {"p": 1, "n": 3},
+    ],
+    ids=["n1", "n0", "p4", "p9", "p1"],
+)
+def test_sampling_refuses_a_vacuous_input(data):
+    # a composite p or n < 2 has no chain to sample; each of these passed
+    # 5/5 samples, or leaked an error from random, before the check
+    with pytest.raises(ValueError, match="not a prime|< 2"):
+        sample_certificate(data, samples=5)
 
 
 def test_sampling_cross_check_flag_follows_bound():
