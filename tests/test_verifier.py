@@ -164,8 +164,8 @@ def test_sampling_needs_at_least_one_sample(samples):
     ids=["n1", "n0", "p4", "p9", "p1"],
 )
 def test_sampling_refuses_a_vacuous_input(data):
-    # a composite p or n < 2 has no chain to sample; each of these passed
-    # 5/5 samples, or leaked an error from random, before the check
+    # a p that is not prime or n < 2 has no chain to sample, so every
+    # sample would pass vacuously; nothing may be drawn for it
     with pytest.raises(ValueError, match="not a prime|< 2"):
         sample_certificate(data, samples=5)
 
