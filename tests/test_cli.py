@@ -192,6 +192,27 @@ def test_ktable_csv_golden(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--p", "2", "--n", "7", "--imax", "40", "--format", "json"],
+            "1e59d8c761bbf635404556d2b7518d1d3c42b21bfdb2b2e6432f85ea588e8d9e",
+        ),
+        (
+            ["--p", "3", "--n", "5", "--imax", "60", "--format", "md"],
+            "30d0669bb44dadf688d170039b145db982fd381cadb76d6f23dfded7d6411f8e",
+        ),
+    ],
+    ids=["p2-n7-json", "p3-n5-md"],
+)
+def test_ktable_notes_golden(argv, digest, capsys):
+    # the Bott tower reaches v1^31 and v1^26 here: multi-digit exponents
+    assert main(["ktable"] + argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["zp", "--p", "5", "--weights", "0..12", "--format", "json"],
