@@ -6,12 +6,7 @@ for every value of the unknown entries, telescoping vanishing certificates,
 and even K-group tables derived from them.
 """
 
-from .arith import (
-    Monomial,
-    PrimeContext,
-    f_degree,
-    mixed_radix_monomial,
-)
+from .arith import Monomial, PrimeContext, f_degree
 from .ktheory import (
     bound_comparison,
     h2_basis,
@@ -70,7 +65,6 @@ __all__ = [
     "f_degree",
     "h2_basis",
     "k_even_table",
-    "mixed_radix_monomial",
     "mod_v1_cohomology",
     "mod_v1_square",
     "named_basis",

@@ -104,28 +104,6 @@ def f_degree(m: Monomial, ctx: PrimeContext) -> int:
     return deg
 
 
-def mixed_radix_monomial(j: int, ctx: PrimeContext) -> Monomial:
-    """The unique E-free, nabla-free monomial basis element of filtration degree j.
-
-    Writes j = k + n * sum_u e_u p^u with 0 <= k < n and 0 <= e_u < p and
-    returns z^k * prod f_u^{e_u}.  In quotient mode these monomials form a
-    basis of the associated graded in each degree (one per degree).
-    """
-    if not ctx.quotient:
-        raise ValueError("mixed radix form needs quotient mode")
-    if j < 0:
-        raise ValueError("degree must be >= 0")
-    k, q = j % ctx.n, j // ctx.n
-    fs = []
-    u = 0
-    while q:
-        q, digit = divmod(q, ctx.p)
-        if digit:
-            fs.append((u, digit))
-        u += 1
-    return Monomial(z_pow=k, f_exp=tuple(fs))
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     """Formal exponent sum.  Rejects (nabla z)^2, keeps f exponents raw."""
     if a.nabla and b.nabla:

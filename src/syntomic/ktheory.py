@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .arith import PrimeContext
 from .verifier import verify_certificate
-from .zp import NamedClass, named_basis
+from .zp import NamedClass, h2_name, named_basis
 from .zpn import bott_tower_size, certify_vanishing
 
 HLS_SURJECTIVITY = "HLS_SURJECTIVITY"
@@ -144,7 +144,8 @@ def k_even_table(p: int, n: int, i_max: int) -> KTable:
 
     Nonzero exactly at the multiples of p - 1 up to the weight of the
     re-verified vanishing certificate, (p-1) p^(n-2); each positive nonzero
-    row names its H^2 class and aborts if there is not exactly one.
+    row names its H^2 class through h2_name, in constant time per row, and
+    aborts if there is none.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -165,13 +166,16 @@ def k_even_table(p: int, n: int, i_max: int) -> KTable:
                 )
             )
         elif i % (p - 1) == 0 and i <= cert["weight"]:
+            name = h2_name(p, i + 1)
+            if name is None:
+                raise ArithmeticError(f"expected one H^2 class in weight {i + 1}")
             used.add(HLS_CRYSTALLINITY)
             rows.append(
                 KTableRow(
                     i=i,
                     nonzero=True,
                     reason=SHARP_RANGE,
-                    note=f"weight {i + 1} H^2 class {_h2_class(p, i + 1).name}",
+                    note=f"weight {i + 1} H^2 class {name}",
                     axioms=(HLS_CRYSTALLINITY,),
                 )
             )

@@ -180,6 +180,14 @@ def _name(*parts: str) -> str:
     return "*".join(live) if live else "1"
 
 
+def h2_name(p: int, w: int) -> str | None:
+    """The name of the one H^2 class, del lambda1 v1^kap, in weight
+    w = p + kap (p-1); None in every other weight, which has no H^2."""
+    if w < p or (w - 1) % (p - 1):
+        return None
+    return _name(_power("v1", (w - p) // (p - 1)), "del", "lambda1")
+
+
 def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
     """The standard generator names in weight i, from the closed-form count.
 
@@ -221,7 +229,8 @@ def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
                 rep=mono_str(Monomial(z_pow=j + p * k, twist=i)),
             )
         )
-    if i >= p and (i - 1) % (p - 1) == 0:
+    h2 = h2_name(p, i)
+    if h2 is not None:
         kap = (i - p) // (p - 1)
         out.append(
             NamedClass(
@@ -236,7 +245,7 @@ def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
         )
         out.append(
             NamedClass(
-                name=_name(_power("v1", kap), "del", "lambda1"),
+                name=h2,
                 weight=i,
                 degree=2,
                 corner=BR,
@@ -335,32 +344,8 @@ def mod_v1_cohomology(p: int, i: int) -> CohomologyReport:
 
 
 # multiplicative structure on representatives: the Bott class acts on the
-# left column by z E^(p-1) t^-(p-1) and on the bottom row by z^p t^-(p-1)
-
-
-def v1_top_action(m: Monomial, p: int) -> Monomial:
-    return mono_mul(m, Monomial(e_pow=p - 1, z_pow=1, twist=p - 1))
+# bottom row by z^p t^-(p-1)
 
 
 def v1_bottom_action(m: Monomial, p: int) -> Monomial:
     return mono_mul(m, Monomial(z_pow=p, twist=p - 1))
-
-
-def del_action(corner: str, m: Monomial, p: int) -> tuple[str, Monomial] | None:
-    """Multiply a representative by the weight-0 boundary class del.
-
-    On left-column representatives this applies the frobenius and lands in
-    the bottom row; bottom-row representatives multiply to zero (the bottom
-    corners square to zero against del).  Returns None for the zero product.
-    """
-    if corner == TL:
-        if m.e_pow != m.twist or m.nabla:
-            raise ValueError("not a left-column representative")
-        return (BL, Monomial(z_pow=p * m.z_pow, twist=m.twist))
-    if corner == TR:
-        if not m.nabla:
-            raise ValueError("not a top-right representative")
-        return (BR, Monomial(z_pow=p * (m.z_pow + 1) - 1, nabla=True, twist=m.twist))
-    if corner in (BL, BR):
-        return None
-    raise ValueError(f"unknown corner {corner!r}")

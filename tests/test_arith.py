@@ -5,7 +5,6 @@ from syntomic.arith import (
     PrimeContext,
     f_degree,
     is_prime,
-    mixed_radix_monomial,
     mono_mul,
     mono_str,
 )
@@ -79,36 +78,6 @@ def test_f_degree_and_valuation():
     # 2 + 1 + 1 + 3*1 + 3*4
     assert f_degree(m, ctx) == 19
     assert f_degree(Monomial(), ctx) == 0
-
-
-@pytest.mark.parametrize("p,n", [(2, 2), (2, 5), (3, 2), (3, 3), (5, 4), (7, 6)])
-def test_mixed_radix_bijective_up_to_ten_thousand(p, n):
-    ctx = PrimeContext(p, n, quotient=True)
-    seen = set()
-    for j in range(10_000):
-        m = mixed_radix_monomial(j, ctx)
-        assert m.e_pow == 0 and not m.nabla
-        assert 0 <= m.z_pow < n
-        assert all(0 < c < p for _, c in m.f_exp)
-        assert f_degree(m, ctx) == j  # right degree: the map is a section
-        assert m not in seen  # and injective, hence one basis monomial per degree
-        seen.add(m)
-
-
-def test_mixed_radix_requires_quotient_mode_and_nonneg():
-    with pytest.raises(ValueError):
-        mixed_radix_monomial(3, PrimeContext(3))
-    with pytest.raises(ValueError):
-        mixed_radix_monomial(-1, PrimeContext(3, 2, quotient=True))
-
-
-def test_mixed_radix_examples():
-    ctx = PrimeContext(2, 3, quotient=True)
-    assert mixed_radix_monomial(0, ctx) == Monomial()
-    assert mixed_radix_monomial(2, ctx) == Monomial(z_pow=2)
-    assert mixed_radix_monomial(3, ctx) == Monomial(f_exp=((0, 1),))
-    assert mixed_radix_monomial(7, ctx) == Monomial(z_pow=1, f_exp=((1, 1),))
-    assert mixed_radix_monomial(9, ctx) == Monomial(f_exp=((0, 1), (1, 1)))
 
 
 def test_mono_mul_adds_exponents_and_degree():

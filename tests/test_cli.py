@@ -247,8 +247,8 @@ def test_outputs_are_byte_deterministic(argv, tmp_path, monkeypatch, capsys):
             "greedy and dense membership disagree on a sample",
         ),
         (
-            "syntomic.ktheory.named_basis",
-            lambda p, w: (),
+            "syntomic.ktheory.h2_name",
+            lambda p, w: None,
             ["ktable", "--p", "2", "--n", "3", "--imax", "4"],
             "expected one H^2 class in weight 2",
         ),

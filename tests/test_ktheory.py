@@ -21,7 +21,7 @@ from syntomic.ktheory import (
     v1_nilpotence_order,
 )
 from syntomic.verifier import verify_certificate
-from syntomic.zp import named_basis
+from syntomic.zp import h2_name, named_basis
 from syntomic.zpn import certify_vanishing
 
 
@@ -128,17 +128,45 @@ def test_k_even_table_verifies_its_certificate_once(monkeypatch):
 
 
 def test_k_even_table_names_only_its_own_rows(monkeypatch):
+    # a row names its one H^2 class directly: no named basis is built, and
     # the table's cost follows i_max, not the p^(n-2) classes of the tower
-    calls = []
+    basis_calls, name_calls = [], []
 
-    def counting(p, w):
-        calls.append(w)
+    def counting_basis(p, w):
+        basis_calls.append(w)
         return named_basis(p, w)
 
-    monkeypatch.setattr("syntomic.ktheory.named_basis", counting)
+    def counting_name(p, w):
+        name_calls.append(w)
+        return h2_name(p, w)
+
+    # every binding of named_basis in the package, as a tracer would see it
+    monkeypatch.setattr("syntomic.zp.named_basis", counting_basis)
+    monkeypatch.setattr("syntomic.ktheory.named_basis", counting_basis)
+    monkeypatch.setattr("syntomic.ktheory.h2_name", counting_name)
     table = k_even_table(2, 12, 5)
     assert [r.nonzero for r in table.rows] == [True] * 6
-    assert len(calls) <= 5
+    assert basis_calls == []
+    assert name_calls == [2, 3, 4, 5, 6]  # once per nonzero row i > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_h2_name_is_the_named_basis_degree_two_class(p):
+    for w in range(30 * p):
+        h2 = [c.name for c in named_basis(p, w) if c.degree == 2]
+        assert len(h2) <= 1
+        assert h2_name(p, w) == (h2[0] if h2 else None), (p, w)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_row_notes_name_the_named_basis_class(p, n):
+    i_max = 2 * (p - 1) * p ** (n - 2) + p
+    rows = [r for r in k_even_table(p, n, i_max).rows if r.nonzero and r.i > 0]
+    assert len(rows) == p ** (n - 2)
+    for r in rows:
+        (h2,) = [c.name for c in named_basis(p, r.i + 1) if c.degree == 2]
+        assert r.note == f"weight {r.i + 1} H^2 class {h2}"
 
 
 NILPOTENCE_ORDERS = {

@@ -25,7 +25,6 @@ from syntomic.linalg import (
 )
 from syntomic.zp import (
     build_zp_square,
-    del_action,
     left_window,
     mod_v1_cohomology,
     mod_v1_named_basis,
@@ -34,7 +33,6 @@ from syntomic.zp import (
     right_window,
     standard_cutoffs,
     v1_bottom_action,
-    v1_top_action,
     zp_cohomology,
 )
 
@@ -373,36 +371,5 @@ def test_mod_v1_squares_sample_consistently(p):
 
 
 def test_v1_actions():
-    m = Monomial(e_pow=2, z_pow=1, twist=2)
-    assert v1_top_action(m, 3) == Monomial(e_pow=4, z_pow=2, twist=4)
     b = Monomial(z_pow=2, twist=2)
     assert v1_bottom_action(b, 3) == Monomial(z_pow=5, twist=4)
-
-
-def test_del_action_shapes():
-    p = 3
-    corner, image = del_action("TL", Monomial(e_pow=2, z_pow=1, twist=2), p)
-    assert corner == "BL" and image == Monomial(z_pow=3, twist=2)
-    corner, image = del_action("TR", Monomial(e_pow=2, nabla=True, twist=3), p)
-    assert corner == "BR" and image == Monomial(z_pow=2, nabla=True, twist=3)
-    assert del_action("BL", Monomial(z_pow=3, twist=2), p) is None
-    assert del_action("BR", Monomial(z_pow=2, nabla=True, twist=3), p) is None
-    with pytest.raises(ValueError):
-        del_action("TL", Monomial(e_pow=1, twist=2), p)  # not Nygaard-saturated
-    with pytest.raises(ValueError):
-        del_action("XX", Monomial(), p)
-
-
-def test_del_squares_to_zero_through_the_bottom_row():
-    # applying del twice factors through a bottom corner, where it vanishes
-    p = 5
-    corner, image = del_action("TL", Monomial(e_pow=4, z_pow=1, twist=4), p)
-    assert del_action(corner, image, p) is None
-
-
-def test_del_commutes_with_v1():
-    p = 3
-    m = Monomial(e_pow=4, z_pow=2, twist=4)
-    _, a = del_action("TL", v1_top_action(m, p), p)
-    b = v1_bottom_action(del_action("TL", m, p)[1], p)
-    assert a == b

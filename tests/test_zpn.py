@@ -112,7 +112,7 @@ def test_certificate_serialization_round_trip():
     step = data["steps"][0]
     assert set(step) == {
         "j", "element", "can_image", "phi_image", "phi_unit",
-        "fdeg_can", "fdeg_phi", "side_conditions",
+        "fdeg_can", "fdeg_phi",
     }
 
 
@@ -127,33 +127,42 @@ def test_degenerate_smallest_case():
 
 # The (3, 4) chain: can images z^23 f0, z^18 f1, z^9 f2 at degrees 27, 30,
 # 45; phi images z^18 f1, z^9 f2, f3 at degrees 30, 45, 108; truncation 72.
-# Each case corrupts one field of one step and names every check it trips.
+# Each case corrupts fields of steps and names every check it trips.
 @pytest.mark.parametrize(
-    "j, field, value, failures",
+    "corrupt, failures",
     [
-        (1, "side_conditions", (("element_e_power_nonneg", False),),
-         ("step 1: side condition element_e_power_nonneg failed",)),
+        # the ascent check (id kept from the side condition it replaced):
+        # step 1 falls back to z^6 f1 (degree 18 < 30) and step 2 picks the
+        # chain up there, so every link and degree route holds
+        ({1: {"phi_image": ExpMonomial(e_pow=0, z_pow=6, f_index=1),
+              "fdeg_phi": 18},
+          2: {"can_image": ExpMonomial(e_pow=0, z_pow=6, f_index=1),
+              "fdeg_can": 18}},
+         ("step 1: filtration does not strictly ascend",)),
         # z^15 f1 has the degree of z^23 f0 but is not the target rewrite
-        (0, "can_image", ExpMonomial(e_pow=0, z_pow=15, f_index=1),
+        ({0: {"can_image": ExpMonomial(e_pow=0, z_pow=15, f_index=1)}},
          ("target does not match the step-0 can image",)),
-        (1, "can_image", ExpMonomial(e_pow=0, z_pow=26, f_index=0),
+        ({1: {"can_image": ExpMonomial(e_pow=0, z_pow=26, f_index=0)}},
          ("chain link broken between steps 0 and 1",)),
         # a non-ascending or out-of-window degree breaks the second route
-        (1, "fdeg_phi", 30, ("step 1 filtration degree mismatch",)),
-        (1, "fdeg_can", 72, ("step 1 filtration degree mismatch",)),
-        (1, "fdeg_can", 31, ("step 1 filtration degree mismatch",)),
-        (2, "fdeg_phi", 71,
+        ({1: {"fdeg_phi": 30}},
+         ("step 1 filtration degree mismatch",
+          "step 1: filtration does not strictly ascend")),
+        ({1: {"fdeg_can": 72}},
+         ("step 1 filtration degree mismatch",
+          "step 1: filtration does not strictly ascend")),
+        ({1: {"fdeg_can": 31}}, ("step 1 filtration degree mismatch",)),
+        ({2: {"fdeg_phi": 71}},
          ("step 2 filtration degree mismatch",
           "final remainder is below the truncation bound")),
     ],
     ids=["side", "target", "link", "ascent", "window", "degree", "final"],
 )
-def test_every_producer_check_can_fail(j, field, value, failures, monkeypatch):
+def test_every_producer_check_can_fail(corrupt, failures, monkeypatch):
     honest = zpn.telescoping_step
 
     def corrupted(p, n, k):
-        w = honest(p, n, k)
-        return replace(w, **{field: value}) if k == j else w
+        return replace(honest(p, n, k), **corrupt.get(k, {}))
 
     monkeypatch.setattr(zpn, "telescoping_step", corrupted)
     cert = certify_vanishing(3, 4)
