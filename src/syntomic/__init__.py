@@ -40,7 +40,6 @@ from .zpn import (
     certify_vanishing,
     nygaard_truncation_bound,
     telescoping_step,
-    v1_power_partial_representative,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +72,6 @@ __all__ = [
     "square_cohomology",
     "telescoping_step",
     "v1_nilpotence_order",
-    "v1_power_partial_representative",
     "verify_certificate",
     "verify_truncation",
     "zp_cohomology",

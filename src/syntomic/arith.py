@@ -104,24 +104,6 @@ def f_degree(m: Monomial, ctx: PrimeContext) -> int:
     return deg
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Formal exponent sum.  Rejects (nabla z)^2, keeps f exponents raw."""
-    if a.nabla and b.nabla:
-        raise ValueError("nabla z squares to zero")
-    fs: dict[int, int] = {}
-    for u, c in a.f_exp:
-        fs[u] = fs.get(u, 0) + c
-    for u, c in b.f_exp:
-        fs[u] = fs.get(u, 0) + c
-    return Monomial(
-        e_pow=a.e_pow + b.e_pow,
-        z_pow=a.z_pow + b.z_pow,
-        f_exp=tuple(sorted(fs.items())),
-        nabla=a.nabla or b.nabla,
-        twist=a.twist + b.twist,
-    )
-
-
 def mono_str(m: Monomial) -> str:
     parts = []
     if m.e_pow:

@@ -443,8 +443,6 @@ def square_cohomology(sq: SquareComplex) -> CohomologyReport:
         h2 = nbr - elim1.rank
         if h0 < 0 or h1 < 0 or h2 < 0:
             raise ArithmeticError("negative certified dimension")
-        if h0 - h1 + h2 != euler_characteristic(sq):
-            raise ArithmeticError("Euler characteristic mismatch")
     else:
         h0 = h1 = h2 = None
     return CohomologyReport(

@@ -23,13 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .arith import Monomial, PrimeContext, mono_mul, mono_str
+from .arith import Monomial, PrimeContext, mono_str
 from .linalg import (
-    BL,
-    BR,
     CERTIFIED,
-    TL,
-    TR,
     CohomologyReport,
     Series,
     SquareComplex,
@@ -166,7 +162,6 @@ class NamedClass:
     name: str
     weight: int
     degree: int
-    corner: str
     rep: str
 
 
@@ -204,7 +199,6 @@ def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
                 name=_name(_power("v1", k0)),
                 weight=i,
                 degree=0,
-                corner=TL,
                 rep=mono_str(Monomial(e_pow=i, z_pow=k0, twist=i)),
             )
         )
@@ -213,7 +207,6 @@ def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
                 name=_name(_power("v1", k0), "del"),
                 weight=i,
                 degree=1,
-                corner=BL,
                 rep=mono_str(Monomial(z_pow=p * k0, twist=i)),
             )
         )
@@ -225,7 +218,6 @@ def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
                 name=_name(_power("v1", k), f"gamma_{j}"),
                 weight=i,
                 degree=1,
-                corner=BL,
                 rep=mono_str(Monomial(z_pow=j + p * k, twist=i)),
             )
         )
@@ -237,7 +229,6 @@ def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
                 name=_name(_power("v1", kap), "lambda1"),
                 weight=i,
                 degree=1,
-                corner=TR,
                 rep=mono_str(
                     Monomial(e_pow=i - 1, z_pow=kap, nabla=True, twist=i)
                 ),
@@ -248,7 +239,6 @@ def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
                 name=h2,
                 weight=i,
                 degree=2,
-                corner=BR,
                 rep=mono_str(
                     Monomial(z_pow=p * (kap + 1) - 1, nabla=True, twist=i)
                 ),
@@ -341,11 +331,3 @@ def mod_v1_cohomology(p: int, i: int) -> CohomologyReport:
     names = mod_v1_named_basis(p, i)
     _check_named_dims(rep, names, "reduced named basis")
     return replace(rep, generators=names)
-
-
-# multiplicative structure on representatives: the Bott class acts on the
-# bottom row by z^p t^-(p-1)
-
-
-def v1_bottom_action(m: Monomial, p: int) -> Monomial:
-    return mono_mul(m, Monomial(z_pow=p, twist=p - 1))

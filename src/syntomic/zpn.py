@@ -25,13 +25,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .arith import Monomial, PrimeContext, f_degree
-from .zp import v1_bottom_action
 
 HIGH_FILTRATION = "HIGH_FILTRATION"
 
-# Largest Bott tower p^(n-2) that h2_basis and v1_power_partial_representative
-# step through; their cost is linear in it, so a larger (p, n) is refused
-# rather than left to run for hours (p^(n-2) is 2^28 at p = 2, n = 30).
+# Largest Bott tower p^(n-2) that h2_basis steps through; its cost is linear
+# in it, so a larger (p, n) is refused rather than left to run for hours
+# (p^(n-2) is 2^28 at p = 2, n = 30).
 MAX_BOTT_TOWER = 4096
 
 
@@ -214,22 +213,3 @@ def bott_tower_size(p: int, n: int) -> int:
             f"{MAX_BOTT_TOWER}"
         )
     return p ** (n - 2)
-
-
-def v1_power_partial_representative(p: int, n: int) -> Monomial:
-    """Bottom-row representative of the p^(n-2)-th Bott power for Z/p^n.
-
-    Computed two ways: directly as z^(p^(n-1)) t^-(p^(n-1)-p^(n-2)), and by
-    iterating the bottom-row Bott action on the unit.  Both must agree.
-    The iteration takes p^(n-2) steps, so (p, n) with p^(n-2) above
-    MAX_BOTT_TOWER (4096) raise ValueError.
-    """
-    steps = bott_tower_size(p, n)
-    i = p ** (n - 1) - p ** (n - 2)
-    direct = Monomial(z_pow=p ** (n - 1), twist=i)
-    stepped = Monomial()
-    for _ in range(steps):
-        stepped = v1_bottom_action(stepped, p)
-    if stepped != direct:
-        raise ArithmeticError("Bott power representative mismatch")
-    return direct

@@ -12,7 +12,7 @@ from conftest import (
     mod_v1_expected_dims,
 )
 
-from syntomic.arith import Monomial
+from syntomic.arith import Monomial, mono_str
 from syntomic.cli import main
 from syntomic.ktheory import h2_basis, k_even_table, v1_nilpotence_order
 from syntomic.linalg import CERTIFIED
@@ -21,10 +21,9 @@ from syntomic.zp import (
     build_zp_square,
     mod_v1_cohomology,
     mod_v1_square,
-    v1_bottom_action,
     zp_cohomology,
 )
-from syntomic.zpn import certify_vanishing, v1_power_partial_representative
+from syntomic.zpn import certify_vanishing
 
 CERT_PRIMES = (2, 3, 5)
 CERT_POWERS = (2, 3, 4, 5, 6)
@@ -170,18 +169,25 @@ def test_criterion_7_property_suites(acceptance_record):
                 mod_v1_square(p, i)
             ):
                 failures.append(("square-mod-v1", p, i))
-    # Bott power representative: direct formula vs iterated action
+    # the certificate's target is the certified del class of its weight:
+    # del v1^k with k = p^(n-2), the class that dies in Z/p^n
     for p in CERT_PRIMES:
         for n in CERT_POWERS:
-            direct = v1_power_partial_representative(p, n)
-            stepped = Monomial()
-            for _ in range(p ** (n - 2)):
-                stepped = v1_bottom_action(stepped, p)
-            if stepped != direct:
-                failures.append(("bott", p, n))
+            cert = certify_vanishing(p, n)
+            rep = zp_cohomology(p, cert.weight)
+            target = mono_str(
+                Monomial(z_pow=cert.target_z_pow, twist=cert.weight)
+            )
+            hits = [c for c in rep.generators if c.rep == target]
+            k = p ** (n - 2)
+            want = "v1*del" if k == 1 else f"v1^{k}*del"
+            if rep.status != CERTIFIED or len(hits) != 1:
+                failures.append(("bott", p, n, rep.status, len(hits)))
+            elif (hits[0].degree, hits[0].name) != (1, want):
+                failures.append(("bott", p, n, hits[0].degree, hits[0].name))
     _verdict(
         acceptance_record, 7, failures,
-        "chi and stability, known-parts identity, Bott routes agree",
+        "chi and stability, known-parts identity, targets are certified del classes",
     )
 
 

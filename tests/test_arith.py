@@ -5,7 +5,6 @@ from syntomic.arith import (
     PrimeContext,
     f_degree,
     is_prime,
-    mono_mul,
     mono_str,
 )
 from syntomic.verifier import _is_prime as verifier_is_prime
@@ -78,21 +77,6 @@ def test_f_degree_and_valuation():
     # 2 + 1 + 1 + 3*1 + 3*4
     assert f_degree(m, ctx) == 19
     assert f_degree(Monomial(), ctx) == 0
-
-
-def test_mono_mul_adds_exponents_and_degree():
-    ctx = PrimeContext(5, 2, quotient=True)
-    a = Monomial(e_pow=1, z_pow=2, f_exp=((0, 1),), twist=3)
-    b = Monomial(z_pow=1, f_exp=((0, 2), (1, 1)), twist=1)
-    ab = mono_mul(a, b)
-    assert ab == Monomial(e_pow=1, z_pow=3, f_exp=((0, 3), (1, 1)), twist=4)
-    assert f_degree(ab, ctx) == f_degree(a, ctx) + f_degree(b, ctx)
-
-
-def test_mono_mul_rejects_nabla_square():
-    d = Monomial(nabla=True)
-    with pytest.raises(ValueError):
-        mono_mul(d, d)
 
 
 def test_mono_str():

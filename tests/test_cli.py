@@ -2,10 +2,13 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
+from syntomic import zp
 from syntomic.cli import main
+from syntomic.linalg import UNKNOWN_ENTRY, Series
 from syntomic.verifier import SampleReport, VerifierReport
 from syntomic.zp import zp_cohomology
 
@@ -92,6 +95,64 @@ def test_zp_json_rows_are_the_reports(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "82c88600f86ecfb2fc56bf2d3f292e00a2fb6c2612c633a30c47ba027e433a7f"
     )
+
+
+def _zp_rows(fmt: str, text: str) -> dict:
+    """weight -> (status, dims, generators) from one zp output file."""
+    if fmt == "json":
+        rows = json.loads(text)["rows"]
+        return {r["weight"]: (r["status"], r["h"], r["generators"]) for r in rows}
+    out = {}
+    if fmt == "csv":
+        for line in text.splitlines()[1:]:
+            w, h0, h1, h2, status, gens = line.split(",", 5)
+            out[int(w)] = (status, [h0, h1, h2], gens.split(";") if gens else [])
+    else:
+        for line in text.splitlines()[4:]:
+            if line:
+                w, h0, h1, h2, gens, status = (
+                    c.strip() for c in line.strip("|").split("|")
+                )
+                out[int(w)] = (
+                    status, [h0, h1, h2], [] if gens == "-" else gens.split(", ")
+                )
+    return out
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+def test_zp_indeterminate_weight_exits_two_with_its_row(
+    fmt, tmp_path, monkeypatch, capsys
+):
+    # an unknown leading term of nabla_bot at BL 1 leaves d1 no certain pivot
+    # on BR row 1 in weight 3; weights 2 and 4 are built as usual
+    honest = zp.build_zp_square
+
+    def blocked(p, i, extra=0):
+        sq = honest(p, i, extra)
+        if (p, i) != (2, 3):
+            return sq
+        col = sq.nabla_bot[1]
+        lead = ((col.terms[0][0], UNKNOWN_ENTRY),) + col.terms[1:]
+        return replace(
+            sq, nabla_bot={**sq.nabla_bot, 1: Series(lead, col.tail_from)}
+        )
+
+    monkeypatch.setattr(zp, "build_zp_square", blocked)
+    assert zp_cohomology(2, 3).d1.blocking == ((1, 1), ("BR", 1))
+    monkeypatch.setenv("SYNTOMIC_OUTPUT_DIR", str(tmp_path))
+    argv = ["zp", "--p", "2", "--weights", "2..4", "--format", fmt]
+    assert main(argv + ["--output", "f"]) == 2
+    assert capsys.readouterr().out == ""
+    rows = _zp_rows(fmt, (tmp_path / "f").read_text())
+    assert sorted(rows) == [2, 3, 4]
+    status, dims, gens = rows[3]
+    assert status == "INDETERMINATE"
+    assert not any(str(h).isdigit() for h in dims) and gens == []
+    for w in (2, 4):
+        rep = zp_cohomology(2, w)
+        assert rows[w][0] == "CERTIFIED"
+        assert [int(h) for h in rows[w][1]] == list(rep.dims)
+        assert rows[w][2] == [c.name for c in rep.generators]
 
 
 def test_output_dir_env_joins_relative_paths(tmp_path, monkeypatch):

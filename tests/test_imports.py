@@ -38,6 +38,20 @@ def test_verifier_imports_nothing_from_the_package():
         assert not level and name != "syntomic", (name, level)
 
 
+def test_zpn_imports_nothing_from_zp():
+    # the certificate's target must not come from the engine it is checked
+    # against in acceptance criterion 7
+    modules = set()
+    for node in ast.walk(ast.parse((PACKAGE / "zpn.py").read_text())):
+        if isinstance(node, ast.Import):
+            modules |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ("syntomic." if node.level else "") + (node.module or "")
+            base = base.rstrip(".")
+            modules |= {base} | {f"{base}.{a.name}" for a in node.names}
+    assert "syntomic.zp" not in modules, sorted(modules)
+
+
 @pytest.mark.parametrize(
     "path", [m for m in MODULES if m.name != "__init__.py"], ids=lambda m: m.name
 )

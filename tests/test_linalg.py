@@ -19,6 +19,7 @@ from syntomic.linalg import (
     UNKNOWN_ENTRY,
     Scalar,
     Series,
+    SquareComplex,
     certainly_nonzero,
     certified_eliminate,
     is_known_zero,
@@ -311,6 +312,26 @@ def test_tail_inherited_from_the_pivot_column_blocks_at_its_first_free_row():
     assert res.status == INDETERMINATE
     assert res.rank == 1
     assert res.blocking == (1, ("R", 3))
+
+
+def test_a_square_that_is_not_a_complex_is_refused():
+    # d1 o d0 sends the top-left element to a unit at BR 1, so the two ranks
+    # overcount: h1 = (0 + 1) - 1 - 1 = -1
+    p = 2
+    sq = SquareComplex(
+        p=p,
+        weight=0,
+        tl=((0, 0),),
+        tr=(),
+        bl=((0, 0),),
+        br=((1, 1),),
+        nabla_top={0: Series()},
+        v_left={0: Series(((0, known(1, p)),))},
+        v_right={},
+        nabla_bot={0: Series(((1, known(1, p)),))},
+    )
+    with pytest.raises(ArithmeticError, match="negative certified dimension"):
+        square_cohomology(sq)
 
 
 # ------------------------------------------------------ soundness oracle

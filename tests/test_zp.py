@@ -10,7 +10,6 @@ from conftest import (
     sampled_dims,
 )
 from syntomic import zp
-from syntomic.arith import Monomial
 from syntomic.linalg import (
     BL,
     CERTIFIED,
@@ -32,7 +31,6 @@ from syntomic.zp import (
     named_basis,
     right_window,
     standard_cutoffs,
-    v1_bottom_action,
     zp_cohomology,
 )
 
@@ -365,11 +363,3 @@ def test_mod_v1_squares_sample_consistently(p):
         rng = random.Random(31 * p + i)
         for _ in range(100):
             assert sampled_dims(sq, rng) == rep.dims, (p, i)
-
-
-# ------------------------------------------------------------ products
-
-
-def test_v1_actions():
-    b = Monomial(z_pow=2, twist=2)
-    assert v1_bottom_action(b, 3) == Monomial(z_pow=5, twist=4)

@@ -11,7 +11,6 @@ from syntomic.zpn import (
     certify_vanishing,
     nygaard_truncation_bound,
     telescoping_step,
-    v1_power_partial_representative,
 )
 
 CERT_GRID = [(p, n) for p in (2, 3, 5) for n in range(2, 7)]
@@ -170,36 +169,22 @@ def test_every_producer_check_can_fail(corrupt, failures, monkeypatch):
     assert cert.failures == failures
 
 
-# --------------------------------------------------------- bott partial
-
-
-@pytest.mark.parametrize("p,n", CERT_GRID)
-def test_v1_power_representative_two_routes_agree(p, n):
-    m = v1_power_partial_representative(p, n)
-    assert m.z_pow == p ** (n - 1)
-    assert m.twist == p ** (n - 1) - p ** (n - 2)
-    assert m.e_pow == 0 and not m.nabla
-
-
-def test_v1_power_representative_needs_n_two():
-    with pytest.raises(ValueError):
-        v1_power_partial_representative(3, 1)
+# ----------------------------------------------------------- bott tower
 
 
 def test_bott_tower_limit_sits_between_n_14_and_15_at_p_2():
     assert MAX_BOTT_TOWER == 4096
     assert bott_tower_size(2, 14) == 4096
-    assert v1_power_partial_representative(2, 14).z_pow == 2**13
     with pytest.raises(ValueError, match="Bott tower limit 4096"):
-        v1_power_partial_representative(2, 15)
+        bott_tower_size(2, 15)
 
 
 @pytest.mark.parametrize("p,n", [(3, 10), (5, 8), (2, 10**9), (7, 10**12)])
 def test_oversized_bott_tower_is_refused_at_once(p, n):
-    # n = 10**9 would take hours to step and 2^(10^9) would not fit in
-    # memory: the refusal must come before the power is formed
+    # 2^(10^9) would not fit in memory: the refusal must come before the
+    # power is formed
     with pytest.raises(ValueError, match="exceeds the Bott tower limit"):
-        v1_power_partial_representative(p, n)
+        bott_tower_size(p, n)
 
 
 # --------------------------------------------------- verifier interplay
