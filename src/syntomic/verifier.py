@@ -9,19 +9,16 @@ It also samples the certified identity: the certificate asserts that the
 target monomial lies in the image of can - phi modulo high filtration.
 For any concrete instantiation of the unknown unit series lambda_j the
 instantiated column system is triangular (each column's lowest term is its
-exact can image, with coefficient one), so a greedy peel of the lowest
-residual term is a sound and complete membership decision, and a success
-constructs an explicit preimage.  The peel keeps its residual terms in a
-heap keyed by (filtration degree, level), packed into one int: a term at
-level j and z power a has degree a + n*p^j, so on one level the degree
-fixes a, two live terms never share a key, and each clear pops the unique
-lowest term without scanning the others.  Dense F_p elimination over the
-same column space cross-checks the greedy solver for small truncations.
+exact can image, with coefficient one) and block-bidiagonal by level: a
+level-j column leads at level j and its phi image lies wholly at level
+j+1.  So a peel that clears one level at a time, each level's terms with
+their final coefficients, is a sound and complete membership decision, and
+a success constructs an explicit preimage.  Dense F_p elimination over the
+same column space cross-checks the peel for small truncations.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 
@@ -249,66 +246,41 @@ def _greedy_membership(
 ) -> tuple[bool, int]:
     """Decide, for the instantiated system, whether the target is hit.
 
-    State: residual terms at (level j, z power a) with coefficients in F_p,
-    all of filtration degree < n * weight.  The unique column leading at the
-    lowest term is the level-j Nygaard element with matching can image;
-    subtracting it trades the term for level-(j+1) terms of its phi image.
-    Levels only rise, and level-n terms always sit beyond the truncation and
-    vanish from the residual, so the loop terminates.
-
-    A term of degree d at level j, with a = d - n*p^j, is keyed by the int
-    d*n + j.  Since 0 <= j < n this is a bijection onto the ints that keeps
-    the order of the (d, j) tuples, negative d included, and floor divmod by
-    n decodes it.  A term's level-(j+1) image lands at key p*n*s + shift for
-    the shifts of level j, and beyond the truncation exactly when that key
-    is at least bound*n.  A key is pushed onto the heap each time its term
-    enters the residual, so every live term has a key there; a popped key
-    whose term is no longer live (it cancelled, or an equal key cleared it)
-    is skipped.  units must hold every level below n - 1.
+    State: the residual terms of one level j, as {z power a: coefficient}
+    in F_p, all of filtration degree a + n*p^j < n * weight.  The unique
+    column leading at a level-j term is the Nygaard element at s = a - floor
+    with floor = weight - p^j; subtracting it trades the term for the
+    level-(j+1) terms of its phi image, at z powers p*s + offset for the
+    (offset, lam) of units[j].  The system is block-bidiagonal by level: a
+    level-j column leads at level j and its phi image lies wholly at level
+    j+1.  So once every level-j term is cleared, each level-(j+1)
+    coefficient is final, and the peel clears the levels one at a time,
+    counting each live term once.  A term below its level's floor has no
+    column and fails the peel.  The phi image of level n - 1 lies beyond
+    the truncation, so units must hold every level below n - 1.
     """
     weight = p ** (n - 1) - p ** (n - 2)
     bound = n * weight
     if p ** (n - 1) >= bound:
         return (True, 0)  # the target is already zero modulo the truncation
-    # the lowest degree a level-j column leads at, and the key shifts of the
-    # phi image of a level-j term; the phi remainder of level n - 1 lives
-    # beyond the truncation, so that level has none
-    lead = [n * p**j + weight - p**j for j in range(n)]
-    shifts = [
-        [((offset + n * p ** (j + 1)) * n + j + 1, lam) for offset, lam in units[j]]
-        for j in range(n - 1)
-    ]
-    shifts.append([])
-    limit = bound * n
-    step = p * n
-    start = p ** (n - 1) * n  # the target z^(p^(n-1) - n) f_0 at level 0
-    residual: dict[int, int] = {start: 1}
-    heap = [start]
-    heappop, heappush = heapq.heappop, heapq.heappush
+    level = {p ** (n - 1) - n: 1}  # the target z^(p^(n-1) - n) f_0 at level 0
     clears = 0
-    while heap:
-        key = heappop(heap)
-        coef = residual.pop(key, 0)
-        if coef == 0:
-            continue  # no longer live: cancelled, or cleared by an equal key
-        fdeg, j = divmod(key, n)
-        s = fdeg - lead[j]
-        if s < 0:
+    for j in range(n):
+        floor = weight - p**j
+        if level and min(level) < floor:
             return (False, clears)  # no column leads at this position
-        clears += 1
-        base = step * s
-        for shift, lam in shifts[j]:
-            pos = base + shift
-            if pos >= limit:
-                continue
-            old = residual.get(pos)
-            val = ((old or 0) + coef * lam) % p
-            if val:
-                if old is None:
-                    heappush(heap, pos)
-                residual[pos] = val
-            elif old is not None:
-                del residual[pos]
+        clears += len(level)
+        if j == n - 1:
+            break
+        limit = bound - n * p ** (j + 1)  # the level-(j+1) truncation
+        image: dict[int, int] = {}
+        for a, coef in level.items():
+            base = p * (a - floor)
+            for offset, lam in units[j]:
+                pos = base + offset
+                if pos < limit:
+                    image[pos] = image.get(pos, 0) + coef * lam
+        level = {a: c % p for a, c in image.items() if c % p}
     return (True, clears)
 
 

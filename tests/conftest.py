@@ -6,10 +6,12 @@ instantiations are computed by plain dense Gaussian elimination over F_p.
 The engine is only trusted to hand over its symbolic column data.  The one
 symbolic oracle, reference_eliminate, runs the engine's pivot rule on dict
 columns with every tail expanded into per-row unknowns; it shares only the
-scalar algebra with the engine.  reference_greedy_membership is the
-verifier's greedy peel written as a scan for the lowest residual term on
-every clear; it shares nothing with the verifier.  reference_instantiate_units
-draws the verifier's unit series through random.Random.randrange.
+scalar algebra with the engine.  reference_greedy_membership is the greedy
+peel in lowest-degree order, a scan for the lowest residual term on every
+clear; the verifier peels level by level instead, and on instantiated
+systems the two must agree exactly while sharing no code.
+reference_instantiate_units draws the verifier's unit series through
+random.Random.randrange.
 """
 
 import pytest
@@ -368,7 +370,10 @@ def reference_greedy_membership(p, n, units):
     coefficients in F_p; every clear takes the term of lowest filtration
     degree a + n*p^j (ties broken by level), trades it for the level-(j+1)
     terms of its phi image and counts one clear.  Returns (ok, clears) like
-    verifier._greedy_membership.
+    verifier._greedy_membership.  On an instantiation the offsets are
+    nonnegative and the chain ascends, so every phi image lies above its
+    source in degree: each term is cleared once, with its final coefficient,
+    and the count agrees with the level order.
     """
     weight = p ** (n - 1) - p ** (n - 2)
     bound = n * weight

@@ -234,6 +234,16 @@ def test_certify_failing_samples_exit_two(tmp_path, monkeypatch, capsys):
     assert "samples=9/10" in capsys.readouterr().out
 
 
+def test_certify_passes_every_sample_far_above_the_benchmark_n(
+    tmp_path, monkeypatch, capsys
+):
+    # n = 60 gives a truncation bound of 60 * 2^58; the exit code must still
+    # say that every sample passed
+    monkeypatch.chdir(tmp_path)
+    assert main(["certify", "--p", "2", "--n", "60", "--samples", "20"]) == 0
+    assert capsys.readouterr().out.endswith(" samples=20/20\n")
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_certify_rejects_samples_below_one(samples, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -58,11 +58,12 @@ def test_greedy_matches_dense_on_small_truncations(p, n):
     bound = n * (p ** (n - 1) - p ** (n - 2))
     assert bound <= 24  # dense elimination is affordable here
     rng = random.Random(100 * p + n)
-    for _ in range(30):
-        units = _instantiate_units(p, n, bound, rng)
-        ok, _ = _greedy_membership(p, n, units)
-        assert ok == _dense_membership(p, n, units)
-        assert ok  # membership certified, so every instantiation passes
+    for max_tail in (3, 12):
+        for _ in range(30):
+            units = _instantiate_units(p, n, bound, rng, max_tail)
+            ok, _ = _greedy_membership(p, n, units)
+            assert ok == _dense_membership(p, n, units), (max_tail, units)
+            assert ok  # membership certified, so every instantiation passes
 
 
 def test_greedy_constructs_clearing_sequences():
@@ -81,7 +82,7 @@ def test_degenerate_case_is_vacuously_members():
 
 @pytest.mark.parametrize("max_tail", [3, 12])
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_heap_peel_matches_the_reference_scan(p, max_tail):
+def test_peel_matches_the_reference_scan(p, max_tail):
     # every n whose truncation bound is at most about 3000: up to n = 10
     # at p = 2 (bound 2560), 7 at p = 3 (3402), 5 at p = 5, 4 at p = 7;
     # past bound 1000 the reference scan is slow, so fewer draws there
@@ -98,7 +99,7 @@ def test_heap_peel_matches_the_reference_scan(p, max_tail):
 
 
 @pytest.mark.parametrize("p,n", [(2, 10), (3, 8)])
-def test_heap_peel_matches_the_reference_at_benchmark_sizes(p, n):
+def test_peel_matches_the_reference_at_benchmark_sizes(p, n):
     # the certify sizes of the zpn-large benchmark (bounds 2560 and 11664);
     # the draws and the peel are compared together, sample by sample
     bound = n * (p ** (n - 1) - p ** (n - 2))
@@ -115,15 +116,20 @@ def test_heap_peel_matches_the_reference_at_benchmark_sizes(p, n):
     assert all(ok and clears for ok, clears in got)
 
 
-# Hand-built maps, not instantiations.  In the first, the negative level-1
-# offsets send the phi image of the later level-1 term (z power 34) onto the
-# level-2 term at z power 16, which the earlier one (z power 32) put there
-# and which is already cleared, so that term enters the residual a second
-# time; and the three equal (8, 1) terms of the level-2 unit add 1, then 0
-# (the term cancels and its heap key goes stale), then 1 again to each
-# level-3 position they reach, before that position is popped.  In the
-# second, an offset of -30 puts a level-1 term below every level-1 column,
-# so the peel fails after one clear.
+# Hand-built maps, not instantiations: negative offsets put phi images
+# below their source, outside the instantiation model.  In READDED the
+# level-1 terms at z powers 32 and 34 both reach the level-2 term at z
+# power 16.  The reference clears terms in lowest-degree order, so it
+# clears that term before the later contribution arrives, has it re-added
+# and clears it again: 11 clears.  The level-by-level peel sums both
+# contributions first, they cancel, and the term is never cleared: 9
+# clears, with the same verdict.  In UNREACHABLE an offset of -30 puts a
+# level-1 term below every level-1 column, so the peel fails after one
+# clear.  In LAST_LEVEL (p = 3, n = 3) the offset -10 sends the level-1
+# term to z power -10 at level 2 = n - 1, below that level's floor
+# weight - p^2 = -3, so only the last level's floor check can fail it.  In
+# CANCELLED each level-1 term's phi image is twice the same term, which
+# cancels mod 2, so level 2 empties three levels before level n - 1.
 READDED = {
     0: [(10, 1), (12, 1)],
     1: [(-24, 1), (-20, 1)],
@@ -133,16 +139,30 @@ READDED = {
     5: [(0, 1)],
 }
 UNREACHABLE = {0: [(-30, 1), (0, 1)], 1: [(0, 1)], 2: [(0, 1)], 3: [(0, 1)]}
+LAST_LEVEL = {0: [(0, 1)], 1: [(0, 1), (-10, 1)], 2: [(0, 1)]}
+CANCELLED = {
+    0: [(0, 1), (2, 1)],
+    1: [(3, 1), (3, 1)],
+    2: [(0, 1)],
+    3: [(0, 1)],
+    4: [(0, 1)],
+    5: [(0, 1)],
+}
 
 
 @pytest.mark.parametrize(
-    "n,units,expected",
-    [(6, READDED, (True, 11)), (4, UNREACHABLE, (False, 1))],
-    ids=["readded", "unreachable"],
+    "p,n,units,reference,peel",
+    [
+        (2, 6, READDED, (True, 11), (True, 9)),
+        (2, 4, UNREACHABLE, (False, 1), (False, 1)),
+        (3, 3, LAST_LEVEL, (False, 2), (False, 2)),
+        (2, 6, CANCELLED, (True, 3), (True, 3)),
+    ],
+    ids=["readded", "unreachable", "last_level", "cancelled"],
 )
-def test_heap_peel_matches_the_reference_on_hand_built_maps(n, units, expected):
-    assert reference_greedy_membership(2, n, units) == expected
-    assert _greedy_membership(2, n, units) == expected
+def test_peel_against_the_reference_on_hand_built_maps(p, n, units, reference, peel):
+    assert reference_greedy_membership(p, n, units) == reference
+    assert _greedy_membership(p, n, units) == peel
 
 
 @pytest.mark.parametrize("samples", [0, -4])
