@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .arith import PrimeContext
 from .verifier import verify_certificate
@@ -265,28 +266,46 @@ def bound_comparison(p: int, n: int) -> BoundComparison:
     )
 
 
+# one JSON row at the depth json.dumps(indent=2) gives it, keys in sorted order
+_ROW = (
+    '    {\n      "axioms": %s,\n      "i": %d,\n      "nonzero": %s,\n'
+    '      "note": %s,\n      "reason": %s\n    }'
+)
+
+
 def table_to_json(table: KTable) -> str:
-    doc = {
-        "p": table.p,
-        "n": table.n,
-        "i_max": table.i_max,
-        "rows": [
-            {
-                "i": r.i,
-                "nonzero": r.nonzero,
-                "reason": r.reason,
-                "note": r.note,
-                "axioms": list(r.axioms),
-            }
-            for r in table.rows
-        ],
-        "axioms": [
-            {"id": a.ident, "statement": a.statement, "used": a.used}
-            for a in table.axioms
-        ],
-        "certificates": [table.certificate],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The table as json.dumps(doc, indent=2, sort_keys=True) + newline.
+
+    The head goes through json.dumps; the rows, its last key, are filled
+    into one template each, strings encoded as json.dumps encodes them.
+    """
+    head = json.dumps(
+        {
+            "p": table.p,
+            "n": table.n,
+            "i_max": table.i_max,
+            "axioms": [
+                {"id": a.ident, "statement": a.statement, "used": a.used}
+                for a in table.axioms
+            ],
+            "certificates": [table.certificate],
+        },
+        indent=2,
+        sort_keys=True,
+    )
+    enc = encode_basestring_ascii
+    axioms: dict[tuple[str, ...], str] = {}  # each distinct tuple rendered once
+    rows = []
+    for r in table.rows:
+        ax = axioms.get(r.axioms)
+        if ax is None:
+            items = ",\n".join("        " + enc(a) for a in r.axioms)
+            ax = axioms[r.axioms] = f"[\n{items}\n      ]" if items else "[]"
+        flag = "true" if r.nonzero else "false"
+        rows.append(_ROW % (ax, r.i, flag, enc(r.note), enc(r.reason)))
+    body = "[\n%s\n  ]" % ",\n".join(rows) if rows else "[]"
+    # "rows" sorts after every head key, so it closes the object
+    return f'{head[:-2]},\n  "rows": {body}\n}}\n'
 
 
 def table_to_csv(table: KTable) -> str:

@@ -11,8 +11,11 @@ peel in lowest-degree order, a scan for the lowest residual term on every
 clear; the verifier peels level by level instead, and on instantiated
 systems the two must agree exactly while sharing no code.
 reference_instantiate_units draws the verifier's unit series through
-random.Random.randrange.
+random.Random.randrange.  reference_table_json is the K-table document
+through json.dumps, byte for byte what ktheory.table_to_json must write.
 """
+
+import json
 
 import pytest
 
@@ -403,3 +406,29 @@ def reference_greedy_membership(p, n, units):
             if residual[pos] == 0:
                 del residual[pos]
     return (True, clears)
+
+
+def reference_table_json(table) -> str:
+    """A KTable as json.dumps(indent=2, sort_keys=True) of its document,
+    plus a newline: the layout ktheory.table_to_json writes from templates."""
+    doc = {
+        "p": table.p,
+        "n": table.n,
+        "i_max": table.i_max,
+        "rows": [
+            {
+                "i": r.i,
+                "nonzero": r.nonzero,
+                "reason": r.reason,
+                "note": r.note,
+                "axioms": list(r.axioms),
+            }
+            for r in table.rows
+        ],
+        "axioms": [
+            {"id": a.ident, "statement": a.statement, "used": a.used}
+            for a in table.axioms
+        ],
+        "certificates": [table.certificate],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -1,9 +1,11 @@
 """Vanishing tables, the Bott tower, nilpotence orders, bound comparisons."""
 
+import dataclasses
 import json
 from dataclasses import replace
 
 import pytest
+from conftest import reference_table_json
 
 from syntomic.ktheory import (
     BEYOND_TORSION,
@@ -11,6 +13,8 @@ from syntomic.ktheory import (
     HLS_SURJECTIVITY,
     LIU_WANG_H2,
     SHARP_RANGE,
+    KTable,
+    KTableRow,
     axiom_catalog,
     bound_comparison,
     h2_basis,
@@ -20,8 +24,9 @@ from syntomic.ktheory import (
     table_to_markdown,
     v1_nilpotence_order,
 )
+from syntomic.linalg import CERTIFIED
 from syntomic.verifier import verify_certificate
-from syntomic.zp import h2_name, named_basis
+from syntomic.zp import h2_name, named_basis, zp_cohomology
 from syntomic.zpn import certify_vanishing
 
 
@@ -151,11 +156,33 @@ def test_k_even_table_names_only_its_own_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_h2_name_is_the_named_basis_degree_two_class(p):
-    for w in range(30 * p):
-        h2 = [c.name for c in named_basis(p, w) if c.degree == 2]
-        assert len(h2) <= 1
-        assert h2_name(p, w) == (h2[0] if h2 else None), (p, w)
+def test_h2_name_exactly_where_h2_is_certified(p):
+    # named_basis takes its degree-2 name from h2_name, so the independent
+    # witness is the certified elimination of the weight-w square
+    for w in range(10 * p):
+        rep = zp_cohomology(p, w)
+        assert rep.status == CERTIFIED, (p, w)
+        assert (h2_name(p, w) is not None) == (rep.h2 == 1), (p, w)
+
+
+@pytest.mark.parametrize(
+    "p, w, name",
+    [
+        (2, 2, "del*lambda1"),
+        (2, 3, "v1*del*lambda1"),
+        (2, 4, "v1^2*del*lambda1"),
+        (2, 12, "v1^10*del*lambda1"),
+        (3, 3, "del*lambda1"),
+        (3, 25, "v1^11*del*lambda1"),
+        (5, 9, "v1*del*lambda1"),
+        (7, 7 + 6 * 123, "v1^123*del*lambda1"),
+        (3, 4, None),
+        (5, 4, None),
+        (7, 1, None),
+    ],
+)
+def test_h2_name_literals(p, w, name):
+    assert h2_name(p, w) == name
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -248,6 +275,61 @@ def test_json_serialization_round_trips():
         HLS_CRYSTALLINITY, HLS_SURJECTIVITY, LIU_WANG_H2,
     }
     assert text == table_to_json(k_even_table(3, 3, 6))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_json_bytes_match_json_dumps(p, n):
+    cut = (p - 1) * p ** (n - 2)
+    for i_max in sorted({0, 1, cut - 1, cut, cut + 1, 2 * cut + p}):
+        table = k_even_table(p, n, i_max)
+        assert table_to_json(table) == reference_table_json(table), i_max
+
+
+HAND_BUILT = KTable(
+    p=3,
+    n=2,
+    i_max=3,
+    rows=(
+        KTableRow(i=0, nonzero=True, reason=SHARP_RANGE, note="", axioms=()),
+        KTableRow(
+            i=1,
+            nonzero=False,
+            reason="quote \" and backslash \\",
+            note='a "quoted" \\ note\non two lines',
+            axioms=(HLS_SURJECTIVITY,),
+        ),
+        KTableRow(
+            i=2,
+            nonzero=True,
+            reason=SHARP_RANGE,
+            note="\u03bb\u2081 \U0001d53d_p \t\x7f\x00",
+            axioms=(HLS_CRYSTALLINITY, "caf\u00e9"),
+        ),
+        KTableRow(i=3, nonzero=False, reason="", note="\\", axioms=()),
+    ),
+    axioms=axiom_catalog({HLS_SURJECTIVITY}),
+    certificate={"p": 3, "n": 2, "weight": 2, "note": "\u00e9\n"},
+)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [HAND_BUILT, replace(HAND_BUILT, rows=()), replace(HAND_BUILT, axioms=())],
+    ids=["rows", "no-rows", "no-axioms"],
+)
+def test_json_bytes_match_json_dumps_on_hand_built_tables(table):
+    # escapes, control characters and non-ASCII text in notes, reasons and
+    # axiom ids; rows with 0, 1 and 2 axioms; an empty row list
+    assert table_to_json(table) == reference_table_json(table)
+
+
+def test_json_rows_carry_every_row_field():
+    # the rows are written from a template: a new KTableRow field must show
+    fields = {f.name for f in dataclasses.fields(KTableRow)}
+    for table in (HAND_BUILT, k_even_table(3, 3, 6)):
+        rows = json.loads(table_to_json(table))["rows"]
+        assert rows and all(set(r) == fields for r in rows)
 
 
 def test_csv_has_integer_flags():
