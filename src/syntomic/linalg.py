@@ -120,34 +120,6 @@ class Series:
             prev = d
 
 
-def series_window(
-    p: int,
-    pairs: Iterable[tuple[int, Scalar]],
-    tail_from: int | None = None,
-    top: int | None = None,
-) -> Series:
-    """Assemble a Series from raw (degree, scalar) pairs inside a degree window.
-
-    Pairs beyond top are discarded (they land outside the truncation window),
-    duplicate degrees are summed, pairs at or above tail_from merge into the
-    tail (known + independent unknown is unknown, which the tail carries).
-    """
-    acc: dict[int, Scalar] = {}
-    zero = known(0, p)
-    for d, s in pairs:
-        if top is not None and d > top:
-            continue
-        if tail_from is not None and d >= tail_from:
-            continue
-        acc[d] = scalar_add(acc.get(d, zero), s, p)
-    if tail_from is not None and top is not None and tail_from > top:
-        tail_from = None
-    terms = tuple(
-        (d, s) for d, s in sorted(acc.items()) if not is_known_zero(s)
-    )
-    return Series(terms=terms, tail_from=tail_from)
-
-
 def materialize(series: Series, degrees: Iterable[int]) -> dict[int, Scalar]:
     """Column entries of the series over the given row degrees.
 
@@ -264,12 +236,12 @@ def certified_eliminate(
     at_row: dict[Any, list[int]] = {}
     tail_index: dict[Any, list[tuple[int, int]]] = {}
 
-    def index(j: int) -> None:
+    def index(j: int, put=insort) -> None:
         terms, tails = work[j]
         for r in terms:
             at_row.setdefault(r, []).append(j)
         for tag, start in tails.items():
-            insort(tail_index.setdefault(tag, []), (start, j))
+            put(tail_index.setdefault(tag, []), (start, j))
 
     def unindex(j: int) -> None:
         terms, tails = work[j]
@@ -279,8 +251,11 @@ def certified_eliminate(
             tail_list = tail_index[tag]
             del tail_list[bisect_left(tail_list, (start, j))]
 
+    # the first pass appends in column order and sorts each tail list once
     for j in range(len(order)):
-        index(j)
+        index(j, list.append)
+    for tail_list in tail_index.values():
+        tail_list.sort()
     zero = known(0, p)
     after_last = len(order)  # above every column position
     pivots: list[tuple[Any, Any]] = []

@@ -27,11 +27,11 @@ from .arith import Monomial, PrimeContext, mono_str
 from .linalg import (
     CERTIFIED,
     CohomologyReport,
+    Scalar,
     Series,
     SquareComplex,
     WindowCutoffs,
     known,
-    series_window,
     square_cohomology,
 )
 
@@ -51,52 +51,56 @@ def standard_cutoffs(p: int, i: int) -> WindowCutoffs:
     return WindowCutoffs(tl=i + kl, tr=top, bl=i + kl, br=top)
 
 
-def _exact_zero_vertical(p: int, i: int, k: int) -> bool:
-    """Vertical image of z^k E^i t^-i vanishes exactly iff k (p-1) = i.
-
-    That element represents the k-th power of the weight-(p-1) Bott class,
-    which is a permanent cycle with an exact cocycle representative, so its
-    vertical differential is zero on the nose, not merely modulo the window.
-    """
-    return k * (p - 1) == i
-
-
 def _square(p: int, i: int, window: WindowCutoffs, label: str) -> SquareComplex:
     """The truncated square in weight i, cut to the given corner tops.
 
     Each corner keeps its basis elements of filtration degree at most the
     corner's top, and each differential is cut at the top of its target
-    corner.
+    corner.  Every column is written from its formula: at most two exact
+    terms, then an unknown tail.
     """
     tl = tuple((k, k + i) for k in range(window.tl - i + 1))
     tr = tuple((k, k + i - 1) for k in range(1, window.tr - i + 2))
     bl = tuple((m, m) for m in range(window.bl + 1))
     br = tuple((d, d) for d in range(1, window.br + 1))
-    one, minus_one = known(1, p), known(-1, p)
+    one, minus_one, empty = known(1, p), known(-1, p), Series()
+
+    def can_minus_phi(
+        can: int, phi: int, top: int
+    ) -> tuple[tuple[int, Scalar], ...]:
+        """The exact terms can - phi at or below top, in degree order."""
+        if can < phi:
+            terms = ((can, one), (phi, minus_one))
+        elif can > phi:
+            terms = ((phi, minus_one), (can, one))
+        else:
+            return ()  # the two coincide and cancel
+        if terms[1][0] <= top:
+            return terms
+        return terms[:1] if terms[0][0] <= top else ()
 
     nabla_top: dict[int, Series] = {}
     v_left: dict[int, Series] = {}
     for k, _ in tl:
-        # can lands on z^(k+i), phi on z^(pk), both exact; they coincide
-        # exactly at k (p-1) = i and the window sum cancels them there
-        v_left[k] = series_window(
-            p, [(k + i, one), (p * k, minus_one)], top=window.bl
-        )
-        if _exact_zero_vertical(p, i, k):
-            nabla_top[k] = Series()
-        else:
-            nabla_top[k] = series_window(p, [], tail_from=k + i, top=window.tr)
+        # can lands on z^(k+i), phi on z^(pk), both exact
+        if k + i == p * k:
+            # k (p-1) = i: can and phi cancel, and z^k E^i t^-i represents the
+            # k-th power of the weight-(p-1) Bott class, a permanent cycle with
+            # an exact cocycle representative, so its vertical image is zero
+            # on the nose, not merely modulo the window
+            v_left[k] = nabla_top[k] = empty
+            continue
+        v_left[k] = Series(can_minus_phi(k + i, p * k, window.bl))
+        nabla_top[k] = Series(tail_from=k + i) if k + i <= window.tr else empty
 
     v_right: dict[int, Series] = {}
     for k, _ in tr:
         # can is exact at z^(k+i-2) nabla z; the twisted frobenius leads at
         # z^(pk-1) nabla z with remainder strictly above, so the tail starts
         # right after the frobenius degree (and may swallow the can term)
-        v_right[k] = series_window(
-            p,
-            [(k + i - 1, one), (p * k, minus_one)],
-            tail_from=p * k + 1,
-            top=window.br,
+        v_right[k] = Series(
+            can_minus_phi(k + i - 1, p * k, min(p * k, window.br)),
+            p * k + 1 if p * k < window.br else None,
         )
 
     nabla_bot: dict[int, Series] = {}
@@ -106,10 +110,11 @@ def _square(p: int, i: int, window: WindowCutoffs, label: str) -> SquareComplex:
         if m == 0 or (bott is not None and m == p * bott):
             # z^(p k0) t^-i represents del times the k0-th Bott power, a
             # permanent cycle: its differential vanishes exactly, like d(1)
-            nabla_bot[m] = Series()
+            nabla_bot[m] = empty
             continue
-        nabla_bot[m] = series_window(
-            p, [(m, known(m, p))], tail_from=m + 1, top=window.br
+        nabla_bot[m] = Series(
+            ((m, known(m, p)),) if m % p and m <= window.br else (),
+            m + 1 if m < window.br else None,
         )
         if m % p == 0:
             k = m // p

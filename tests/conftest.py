@@ -13,9 +13,13 @@ systems the two must agree exactly while sharing no code.
 reference_instantiate_units draws the verifier's unit series through
 random.Random.randrange.  reference_table_json is the K-table document
 through json.dumps, byte for byte what ktheory.table_to_json must write.
+reference_square is the Z_p square builder as it was before columns were
+written in closed form: every column is summed and cut by series_window, so
+zp._square must build equal squares on every window.
 """
 
 import json
+from typing import Iterable
 
 import pytest
 
@@ -23,6 +27,10 @@ from syntomic.linalg import (
     CERTIFIED,
     INDETERMINATE,
     EliminationResult,
+    Scalar,
+    Series,
+    SquareComplex,
+    WindowCutoffs,
     certainly_nonzero,
     is_known_zero,
     known,
@@ -194,6 +202,120 @@ def sampled_dims(sq, rng) -> tuple[int, int, int]:
     r1 = fp_rank(cols1, sq.p)
     nt, ntr, nbl, nbr = sq.corner_sizes()
     return (nt - r0, ntr + nbl - r1 - r0, nbr - r1)
+
+
+def series_window(
+    p: int,
+    pairs: Iterable[tuple[int, Scalar]],
+    tail_from: int | None = None,
+    top: int | None = None,
+) -> Series:
+    """Assemble a Series from raw (degree, scalar) pairs inside a degree window.
+
+    Pairs beyond top are discarded (they land outside the truncation window),
+    duplicate degrees are summed, pairs at or above tail_from merge into the
+    tail (known + independent unknown is unknown, which the tail carries).
+    """
+    acc: dict[int, Scalar] = {}
+    zero = known(0, p)
+    for d, s in pairs:
+        if top is not None and d > top:
+            continue
+        if tail_from is not None and d >= tail_from:
+            continue
+        acc[d] = scalar_add(acc.get(d, zero), s, p)
+    if tail_from is not None and top is not None and tail_from > top:
+        tail_from = None
+    terms = tuple(
+        (d, s) for d, s in sorted(acc.items()) if not is_known_zero(s)
+    )
+    return Series(terms=terms, tail_from=tail_from)
+
+
+def _exact_zero_vertical(p: int, i: int, k: int) -> bool:
+    """Vertical image of z^k E^i t^-i vanishes exactly iff k (p-1) = i.
+
+    That element represents the k-th power of the weight-(p-1) Bott class,
+    which is a permanent cycle with an exact cocycle representative, so its
+    vertical differential is zero on the nose, not merely modulo the window.
+    """
+    return k * (p - 1) == i
+
+
+def reference_square(
+    p: int, i: int, window: WindowCutoffs, label: str
+) -> SquareComplex:
+    """The truncated square in weight i, cut to the given corner tops.
+
+    Each corner keeps its basis elements of filtration degree at most the
+    corner's top, and each differential is cut at the top of its target
+    corner.
+    """
+    tl = tuple((k, k + i) for k in range(window.tl - i + 1))
+    tr = tuple((k, k + i - 1) for k in range(1, window.tr - i + 2))
+    bl = tuple((m, m) for m in range(window.bl + 1))
+    br = tuple((d, d) for d in range(1, window.br + 1))
+    one, minus_one = known(1, p), known(-1, p)
+
+    nabla_top: dict[int, Series] = {}
+    v_left: dict[int, Series] = {}
+    for k, _ in tl:
+        # can lands on z^(k+i), phi on z^(pk), both exact; they coincide
+        # exactly at k (p-1) = i and the window sum cancels them there
+        v_left[k] = series_window(
+            p, [(k + i, one), (p * k, minus_one)], top=window.bl
+        )
+        if _exact_zero_vertical(p, i, k):
+            nabla_top[k] = Series()
+        else:
+            nabla_top[k] = series_window(p, [], tail_from=k + i, top=window.tr)
+
+    v_right: dict[int, Series] = {}
+    for k, _ in tr:
+        # can is exact at z^(k+i-2) nabla z; the twisted frobenius leads at
+        # z^(pk-1) nabla z with remainder strictly above, so the tail starts
+        # right after the frobenius degree (and may swallow the can term)
+        v_right[k] = series_window(
+            p,
+            [(k + i - 1, one), (p * k, minus_one)],
+            tail_from=p * k + 1,
+            top=window.br,
+        )
+
+    nabla_bot: dict[int, Series] = {}
+    bl_in_span: dict[int, int] = {}
+    bott = i // (p - 1) if i % (p - 1) == 0 else None
+    for m, _ in bl:
+        if m == 0 or (bott is not None and m == p * bott):
+            # z^(p k0) t^-i represents del times the k0-th Bott power, a
+            # permanent cycle: its differential vanishes exactly, like d(1)
+            nabla_bot[m] = Series()
+            continue
+        nabla_bot[m] = series_window(
+            p, [(m, known(m, p))], tail_from=m + 1, top=window.br
+        )
+        if m % p == 0:
+            k = m // p
+            # the square identity on z^k E^i t^-i rewrites this column as
+            # nabla_bot(z^(k+i)) minus v_right applied to the vertical tail
+            if k + i > window.tl or k + i > window.bl:
+                raise ArithmeticError("in-span partner escapes the window")
+            bl_in_span[m] = k
+
+    return SquareComplex(
+        p=p,
+        weight=i,
+        tl=tl,
+        tr=tr,
+        bl=bl,
+        br=br,
+        nabla_top=nabla_top,
+        v_left=v_left,
+        v_right=v_right,
+        nabla_bot=nabla_bot,
+        bl_in_span=bl_in_span,
+        label=label,
+    )
 
 
 def _series_coeff(series, d):

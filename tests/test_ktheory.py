@@ -188,12 +188,19 @@ def test_h2_name_literals(p, w, name):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_row_notes_name_the_named_basis_class(p, n):
+    # the expected name is spelled out from kap = (w-p)/(p-1), not read from
+    # h2_name or named_basis, which the table itself goes through
     i_max = 2 * (p - 1) * p ** (n - 2) + p
     rows = [r for r in k_even_table(p, n, i_max).rows if r.nonzero and r.i > 0]
     assert len(rows) == p ** (n - 2)
     for r in rows:
-        (h2,) = [c.name for c in named_basis(p, r.i + 1) if c.degree == 2]
-        assert r.note == f"weight {r.i + 1} H^2 class {h2}"
+        w = r.i + 1
+        kap, rest = divmod(w - p, p - 1)
+        assert kap >= 0 and rest == 0, (p, w)
+        v1 = "" if kap == 0 else "v1*" if kap == 1 else f"v1^{kap}*"
+        assert r.note == f"weight {w} H^2 class {v1}del*lambda1"
+        if w < 10 * p:
+            assert zp_cohomology(p, w).h2 == 1, (p, w)
 
 
 NILPOTENCE_ORDERS = {

@@ -8,6 +8,7 @@ from conftest import (
     materialized_column,
     reference_eliminate,
     reference_square_eliminations,
+    series_window,
 )
 from syntomic.linalg import (
     CERTIFIED,
@@ -29,7 +30,6 @@ from syntomic.linalg import (
     scalar_div,
     scalar_mul,
     scalar_neg,
-    series_window,
     square_cohomology,
 )
 from syntomic.zp import build_zp_square, mod_v1_square

@@ -7,6 +7,7 @@ from conftest import (
     closed_form_dims,
     known_square_identity_holds,
     mod_v1_expected_dims,
+    reference_square,
     sampled_dims,
 )
 from syntomic import zp
@@ -63,6 +64,29 @@ def test_builder_rejects_bad_input():
         build_zp_square(3, -1)
     with pytest.raises(ValueError):
         build_zp_square(3, 1, extra=-1)
+
+
+def test_builder_matches_the_windowed_reference(monkeypatch):
+    # every window the package builds, through build_zp_square (any margin)
+    # and mod_v1_square, gives the square the windowed-sum reference builds
+    builder, built = zp._square, []
+
+    def recording(p, i, window, label):
+        sq = builder(p, i, window, label)
+        built.append(((p, i, window), sq, reference_square(p, i, window, label)))
+        return sq
+
+    monkeypatch.setattr(zp, "_square", recording)
+    grid = [(p, i) for p in (2, 3, 5, 7, 11, 13) for i in range(8 * p)]
+    for p, i in grid:
+        for extra in range(4):
+            build_zp_square(p, i, extra)
+        mod_v1_square(p, i)
+    for p, i in ((2, 150), (2, 300), (3, 300), (3, 600), (7, 600)):
+        build_zp_square(p, i)
+    assert len(built) == 5 * len(grid) + 5  # every call built one square
+    for where, sq, ref in built:
+        assert sq == ref, where
 
 
 # ------------------------------------------------------------ dimensions
