@@ -21,15 +21,20 @@ forces exact vanishing (permanent-cycle representatives, see below).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .arith import Monomial, PrimeContext, mono_str
 from .linalg import (
+    BL,
+    BR,
     CERTIFIED,
     CohomologyReport,
     Scalar,
     Series,
     SquareComplex,
+    TL,
+    TR,
     WindowCutoffs,
     known,
     square_cohomology,
@@ -160,14 +165,38 @@ def build_zp_square(p: int, i: int, extra: int = 0) -> SquareComplex:
     return _square(p, i, window, f"zp p={p} weight={i} extra={extra}")
 
 
+def _monomial(i: int, witness: tuple[str, int]) -> Monomial:
+    """The basis monomial of the weight-i square at a (corner, index) witness."""
+    corner, k = witness
+    if corner == TL:
+        return Monomial(e_pow=i, z_pow=k, twist=i)
+    if corner == TR:
+        return Monomial(e_pow=i - 1, z_pow=k - 1, nabla=True, twist=i)
+    if corner == BL:
+        return Monomial(z_pow=k, twist=i)
+    return Monomial(z_pow=k - 1, nabla=True, twist=i)
+
+
+_DEGREE = {TL: 0, TR: 1, BL: 1, BR: 2}
+
+
 @dataclass(frozen=True)
 class NamedClass:
-    """A cohomology class with its standard name and leading representative."""
+    """A cohomology class with its standard name and the (corner, index)
+    witness of the certified elimination it stands for."""
 
     name: str
     weight: int
-    degree: int
-    rep: str
+    witness: tuple[str, int]
+
+    @property
+    def degree(self) -> int:
+        return _DEGREE[self.witness[0]]
+
+    @property
+    def rep(self) -> str:
+        """The leading representative: the witness's basis monomial."""
+        return mono_str(_monomial(self.weight, self.witness))
 
 
 def _power(base: str, k: int) -> str:
@@ -191,115 +220,91 @@ def h2_name(p: int, w: int) -> str | None:
     return "v1*del*lambda1" if kap else "del*lambda1"
 
 
-def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
-    """The standard generator names in weight i, from the closed-form count.
+def _classes(p: int, i: int) -> list[tuple[int, NamedClass]]:
+    """Each named class in weight i, with the exponent of its Bott factor."""
+    PrimeContext(p)  # validates primality
+    if i < 0:
+        raise ValueError("weight must be >= 0")
+    out: list[tuple[int, NamedClass]] = []
 
-    h0 is spanned by the Bott powers v1^k0 at (p-1) | i; h1 by one
-    divided-power class v1^k gamma_j (j the weight of the bare class), plus
-    del v1^k0 when (p-1) | i, plus v1^kap lambda1 when i = p + kap (p-1);
-    h2 by del lambda1 v1^kap in the same weights.
-    """
-    out: list[NamedClass] = []
+    def add(k: int, bare: str, witness: tuple[str, int]) -> None:
+        out.append((k, NamedClass(_name(_power("v1", k), bare), i, witness)))
+
     if i % (p - 1) == 0:
         k0 = i // (p - 1)
-        out.append(
-            NamedClass(
-                name=_name(_power("v1", k0)),
-                weight=i,
-                degree=0,
-                rep=mono_str(Monomial(e_pow=i, z_pow=k0, twist=i)),
-            )
-        )
-        out.append(
-            NamedClass(
-                name=_name(_power("v1", k0), "del"),
-                weight=i,
-                degree=1,
-                rep=mono_str(Monomial(z_pow=p * k0, twist=i)),
-            )
-        )
+        add(k0, "", (TL, k0))
+        add(k0, "del", (BL, p * k0))
     if i >= 1:
         j = (i - 1) % (p - 1) + 1
         k = (i - j) // (p - 1)
-        out.append(
-            NamedClass(
-                name=_name(_power("v1", k), f"gamma_{j}"),
-                weight=i,
-                degree=1,
-                rep=mono_str(Monomial(z_pow=j + p * k, twist=i)),
-            )
-        )
+        add(k, f"gamma_{j}", (BL, j + p * k))
     h2 = h2_name(p, i)
     if h2 is not None:
         kap = (i - p) // (p - 1)
-        out.append(
-            NamedClass(
-                name=_name(_power("v1", kap), "lambda1"),
-                weight=i,
-                degree=1,
-                rep=mono_str(
-                    Monomial(e_pow=i - 1, z_pow=kap, nabla=True, twist=i)
-                ),
-            )
-        )
-        out.append(
-            NamedClass(
-                name=h2,
-                weight=i,
-                degree=2,
-                rep=mono_str(
-                    Monomial(z_pow=p * (kap + 1) - 1, nabla=True, twist=i)
-                ),
-            )
-        )
-    return tuple(out)
+        add(kap, "lambda1", (TR, kap + 1))
+        out.append((kap, NamedClass(h2, i, (BR, p * (kap + 1)))))
+    return out
 
 
-def _check_named_dims(
-    rep: CohomologyReport, names: tuple[NamedClass, ...], what: str
-) -> None:
-    """Fail loudly unless the names count, degree by degree, the certified dims."""
-    counts = tuple(sum(1 for c in names if c.degree == d) for d in (0, 1, 2))
-    if counts != rep.dims:
+def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
+    """The standard generators in weight i: each a closed-form name on the
+    witness of its certified class in the weight-i square.
+
+    h0: the Bott power v1^k0 at (p-1) | i, on TL column k0.  h1: one
+    divided-power class v1^k gamma_j (j the weight of the bare class) on BL
+    column j + pk; del v1^k0 on BL column p k0 when (p-1) | i; and
+    v1^kap lambda1 on TR column kap+1 when i = p + kap (p-1).  h2:
+    del lambda1 v1^kap on BR row p (kap+1), in the same weights.
+    """
+    return tuple(c for _, c in _classes(p, i))
+
+
+def _witnesses(sq: SquareComplex, rep: CohomologyReport) -> set[tuple[str, int]]:
+    """The witness of every certified class of sq: the d0 kernel columns
+    (h0), the d1 kernel columns whose own TR/BL row no d0 pivot hits (h1),
+    and the BR rows no d1 pivot hits (h2)."""
+    i = sq.weight
+    boundary = {r for r, _ in rep.d0.pivots}
+    hit = {d for (_, d), _ in rep.d1.pivots}
+    out = {(TL, k) for _, k in rep.d0.kernel_columns}
+    for side, k in rep.d1.kernel_columns:
+        # d1 column (0, k) is TR class k, in degree k+i-1; (1, m) is BL class m
+        if side == 0 and (TR, k + i - 1) not in boundary:
+            out.add((TR, k))
+        elif side == 1 and (BL, k) not in boundary:
+            out.add((BL, k))
+    out.update((BR, d) for _, d in sq.br if d not in hit)
+    return out
+
+
+def _listing(witnesses: set[tuple[str, int]]) -> str:
+    return ", ".join(f"{c} {k}" for c, k in sorted(witnesses)) or "none"
+
+
+def _witnessed(
+    sq: SquareComplex, basis: Callable[[int, int], tuple[NamedClass, ...]]
+) -> CohomologyReport:
+    """Certified cohomology of sq with the named basis as generators, or fail
+    loudly unless the names are exactly the certified witnesses, once each."""
+    rep = square_cohomology(sq)
+    if rep.status != CERTIFIED:
+        return rep
+    names = basis(sq.p, sq.weight)
+    named = {c.witness for c in names}
+    found = _witnesses(sq, rep)
+    if named != found or len(names) != sum(rep.dims):
         raise ArithmeticError(
-            f"{what} does not match certified dims in weight {rep.weight}"
+            f"named basis does not match the certified witnesses in weight "
+            f"{sq.weight}: missing {_listing(found - named)}; "
+            f"extra {_listing(named - found)}; "
+            f"{len(names)} named for dims {rep.dims}"
         )
-
-
-def _match_generators(sq: SquareComplex, rep: CohomologyReport) -> None:
-    """Tie each named class to its certified elimination witness in sq, at
-    any window margin, or fail loudly."""
-    p, i = sq.p, sq.weight
-    if i % (p - 1) == 0:
-        k0 = i // (p - 1)
-        if (0, k0) not in rep.d0.kernel_columns:
-            raise ArithmeticError("Bott power column did not resolve to zero")
-        if (1, p * k0) not in rep.d1.kernel_columns:
-            raise ArithmeticError("del column did not resolve to zero")
-    if i >= p and (i - 1) % (p - 1) == 0:
-        k1 = (i - 1) // (p - 1)
-        if (0, k1) not in rep.d1.kernel_columns:
-            raise ArithmeticError("lambda column did not resolve to zero")
-    if rep.h2:
-        k1 = (i - 1) // (p - 1)
-        hit = {r[1] for r, _ in rep.d1.pivots}
-        open_rows = {d for d, _ in sq.br} - hit
-        if open_rows != {p * k1}:
-            raise ArithmeticError(
-                f"H^2 generator row mismatch in weight {i}: {open_rows}"
-            )
+    return replace(rep, generators=names)
 
 
 def zp_cohomology(p: int, i: int, extra: int = 0) -> CohomologyReport:
     """Certified dims plus named generators for the weight-i square."""
-    sq = build_zp_square(p, i, extra)
-    rep = square_cohomology(sq)
-    if rep.status != CERTIFIED:
-        return rep
-    names = named_basis(p, i)
-    _check_named_dims(rep, names, "named basis")
-    _match_generators(sq, rep)
-    return replace(rep, generators=names)
+    return _witnessed(build_zp_square(p, i, extra), named_basis)
 
 
 def mod_v1_square(p: int, i: int) -> SquareComplex:
@@ -328,14 +333,8 @@ def mod_v1_square(p: int, i: int) -> SquareComplex:
 
 def mod_v1_named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
     """The classes of named_basis(p, i) that carry no Bott factor."""
-    return tuple(c for c in named_basis(p, i) if "v1" not in c.name)
+    return tuple(c for k, c in _classes(p, i) if k == 0)
 
 
 def mod_v1_cohomology(p: int, i: int) -> CohomologyReport:
-    sq = mod_v1_square(p, i)
-    rep = square_cohomology(sq)
-    if rep.status != CERTIFIED:
-        return rep
-    names = mod_v1_named_basis(p, i)
-    _check_named_dims(rep, names, "reduced named basis")
-    return replace(rep, generators=names)
+    return _witnessed(mod_v1_square(p, i), mod_v1_named_basis)

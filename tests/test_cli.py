@@ -309,7 +309,8 @@ def test_outputs_are_byte_deterministic(argv, tmp_path, monkeypatch, capsys):
             "syntomic.zp.named_basis",
             lambda p, i: (),
             ["zp", "--p", "3", "--weights", "0..2"],
-            "named basis does not match certified dims in weight 0",
+            "named basis does not match the certified witnesses in weight 0: "
+            "missing BL 0, TL 0; extra none; 0 named for dims (1, 1, 0)",
         ),
         (
             "syntomic.verifier._dense_membership",

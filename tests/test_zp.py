@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
 from syntomic import zp
 from syntomic.linalg import (
     BL,
+    BR,
     CERTIFIED,
     TL,
     TR,
@@ -166,6 +168,17 @@ def test_generator_counts_match_certified_dims(p):
         assert tuple(by_deg) == rep.dims
 
 
+@pytest.mark.parametrize(
+    "p, i",
+    [(1, 0), (4, 3), (3, -2)],
+    ids=["p=1", "composite", "negative-weight"],
+)
+def test_named_basis_rejects_bad_input(p, i):
+    msg = "weight must be >= 0" if i < 0 else f"p={p} is not prime"
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        named_basis(p, i)
+
+
 @pytest.mark.parametrize("extra", [0, 2])
 def test_generator_matching_runs_at_every_margin(extra, monkeypatch):
     # weight 4 at p = 3 names del v1^2, whose witness is the kernel column
@@ -177,8 +190,89 @@ def test_generator_matching_runs_at_every_margin(extra, monkeypatch):
         return replace(rep, d1=replace(rep.d1, kernel_columns=kept))
 
     monkeypatch.setattr(zp, "square_cohomology", lose_del_column)
-    with pytest.raises(ArithmeticError, match="^del column did not resolve to zero$"):
+    message = (
+        "named basis does not match the certified witnesses in weight 4: "
+        "missing none; extra BL 6; 3 named for dims (1, 2, 0)"
+    )
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
         zp_cohomology(3, 4, extra=extra)
+
+
+def _moved(basis, name, witness):
+    """basis with the class called name put on another witness."""
+
+    def moved(p, i):
+        return tuple(
+            replace(c, witness=witness) if c.name == name else c
+            for c in basis(p, i)
+        )
+
+    return moved
+
+
+@pytest.mark.parametrize("p, i", [(5, 9), (5, 13), (7, 19)])
+def test_a_gamma_1_moved_up_one_degree_is_refused(p, i, monkeypatch):
+    # v1^k gamma_1 with k > 1 sits on BL column 1 + pk; one column higher
+    # is the name of no certified class
+    k = (i - 1) // (p - 1)
+    name = f"v1^{k}*gamma_1"
+    named = [(c.name, c.witness) for c in named_basis(p, i)]
+    assert (name, (BL, 1 + p * k)) in named
+    monkeypatch.setattr(
+        zp, "named_basis", _moved(named_basis, name, (BL, 2 + p * k))
+    )
+    with pytest.raises(
+        ArithmeticError, match=f"missing BL {1 + p * k}; extra BL {2 + p * k};"
+    ):
+        zp_cohomology(p, i)
+
+
+def test_an_h1_class_on_a_boundary_row_is_refused(monkeypatch):
+    # BL column 10 at p = 5, weight 9 is a d1 cycle, but its row is a d0
+    # pivot row: the class it spans is a boundary, not a generator
+    rep = square_cohomology(build_zp_square(5, 9))
+    assert (1, 10) in rep.d1.kernel_columns
+    assert (BL, 10) in {r for r, _ in rep.d0.pivots}
+    monkeypatch.setattr(
+        zp, "named_basis", _moved(named_basis, "v1^2*gamma_1", (BL, 10))
+    )
+    with pytest.raises(ArithmeticError, match="missing BL 11; extra BL 10;"):
+        zp_cohomology(5, 9)
+
+
+def test_a_mod_v1_class_moved_one_degree_is_refused(monkeypatch):
+    assert [c.witness for c in mod_v1_named_basis(5, 4)] == [(BL, 4)]
+    moved = _moved(mod_v1_named_basis, "gamma_4", (BL, 3))
+    monkeypatch.setattr(zp, "mod_v1_named_basis", moved)
+    with pytest.raises(ArithmeticError, match="missing BL 4; extra BL 3;"):
+        mod_v1_cohomology(5, 4)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_generators_are_the_certified_witnesses_past_the_acceptance_grid(p):
+    # each generator spans a certified class: an h0 witness is a d0 kernel
+    # column, an h1 witness a d1 kernel column whose row no d0 pivot hits,
+    # an h2 witness a BR row no d1 pivot hits; one per class, no two alike
+    for i in range(20 * p):
+        for rep in (zp_cohomology(p, i), mod_v1_cohomology(p, i)):
+            assert rep.status == CERTIFIED, (p, i)
+            boundary = {r for r, _ in rep.d0.pivots}
+            hit = {r for r, _ in rep.d1.pivots}
+            for c in rep.generators:
+                corner, k = c.witness
+                if corner == TL:
+                    assert (0, k) in rep.d0.kernel_columns, (p, i, c)
+                elif corner == BR:
+                    assert 1 <= k <= rep.corner_sizes[3], (p, i, c)
+                    assert (BR, k) not in hit, (p, i, c)
+                else:
+                    col, row = (0, k), (TR, k + i - 1)
+                    if corner == BL:
+                        col, row = (1, k), (BL, k)
+                    assert col in rep.d1.kernel_columns, (p, i, c)
+                    assert row not in boundary, (p, i, c)
+            witnesses = {c.witness for c in rep.generators}
+            assert len(rep.generators) == len(witnesses) == sum(rep.dims)
 
 
 # ----------------------------------------------------------- truncation
