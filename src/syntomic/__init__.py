@@ -6,7 +6,7 @@ for every value of the unknown entries, telescoping vanishing certificates,
 and even K-group tables derived from them.
 """
 
-from .arith import Monomial, PrimeContext, f_degree
+from .arith import Monomial, f_degree
 from .ktheory import (
     bound_comparison,
     h2_basis,
@@ -51,7 +51,6 @@ __all__ = [
     "INDETERMINATE",
     "Monomial",
     "NamedClass",
-    "PrimeContext",
     "Series",
     "SquareComplex",
     "StepWitness",

@@ -1,8 +1,8 @@
 """Exponent arithmetic for the filtered divided-power rings underlying the engine.
 
-Two rings occur.  In base mode the ring is generated over the prism base by a
+Two rings occur.  For Z_p the ring is generated over the prism base by a
 single coordinate z (plus one distinguished degree-1 element nabla z in the
-top row of a square).  In quotient mode (the mod p^n ring) an infinite family
+top row of a square).  For Z/p^n (the mod p^n ring) an infinite family
 of envelope generators f_0, f_1, ... is adjoined, where f_u has filtration
 weight n * p^u and Nygaard weight p^u, subject to f_0 = z^n on the nose.
 Monomials are pure bookkeeping: tuples of exponents with an attached
@@ -47,25 +47,10 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeContext:
-    """Ambient arithmetic data: the prime p and, in quotient mode, the power n."""
-
-    p: int
-    n: int = 1
-    quotient: bool = False
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-
-    def f_weight(self, u: int) -> int:
-        """Filtration weight of the envelope generator f_u."""
-        if not self.quotient:
-            raise ValueError("f generators exist only in quotient mode")
-        return self.n * self.p**u
+def require_prime(p: int) -> None:
+    """ValueError unless p is prime: the one gate on p at every entry."""
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -93,14 +78,14 @@ class Monomial:
             last = u
 
 
-def f_degree(m: Monomial, ctx: PrimeContext) -> int:
+def f_degree(m: Monomial, p: int, n: int) -> int:
     """Filtration degree: E and z weigh 1, f_u weighs n*p^u, nabla z weighs 1.
 
     The twist is filtration-neutral.  Additive under monomial product.
     """
     deg = m.e_pow + m.z_pow + (1 if m.nabla else 0)
     for u, c in m.f_exp:
-        deg += c * ctx.f_weight(u)
+        deg += c * n * p**u
     return deg
 
 

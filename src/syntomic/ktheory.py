@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .arith import PrimeContext
+from .arith import require_prime
 from .verifier import verify_certificate
 from .zp import NamedClass, h2_name, named_basis
 from .zpn import bott_tower_size, certify_vanishing
@@ -222,7 +222,9 @@ def v1_nilpotence_order(p: int, n: int) -> NilpotenceReport:
     (p^n - 1)/(p - 1).  Only for p >= 5 does the statement transfer verbatim
     to the homotopy ring (at small primes the named element is not defined
     there)."""
-    PrimeContext(p, n)  # validates p and n
+    require_prime(p)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return NilpotenceReport(
         p=p, n=n, order=(p**n - 1) // (p - 1), homotopy_ring_valid=p >= 5
     )
@@ -255,7 +257,7 @@ def bound_comparison(p: int, n: int) -> BoundComparison:
     The prior bound kills K_(2i) once i - 1 >= (p/(p-1))^2 (p^n - 1); the
     sharp table kills everything past i = (p-1) p^(n-2).  Exact rational
     arithmetic, no floats."""
-    PrimeContext(p)  # validates p
+    require_prime(p)
     if n < 2:
         raise ValueError("need n >= 2")
     threshold = Fraction(p, p - 1) ** 2 * (p**n - 1)

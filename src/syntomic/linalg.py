@@ -356,7 +356,6 @@ class SquareComplex:
     v_right: dict[int, Series]
     nabla_bot: dict[int, Series]
     bl_in_span: dict[int, int] = field(default_factory=dict)
-    label: str = ""
 
     def corner_sizes(self) -> tuple[int, int, int, int]:
         return (len(self.tl), len(self.tr), len(self.bl), len(self.br))
@@ -380,7 +379,6 @@ class CohomologyReport:
     d0: EliminationResult
     d1: EliminationResult
     generators: tuple[Any, ...] = ()
-    label: str = ""
 
     @property
     def dims(self) -> tuple[int | None, int | None, int | None]:
@@ -431,7 +429,6 @@ def square_cohomology(sq: SquareComplex) -> CohomologyReport:
         corner_sizes=sq.corner_sizes(),
         d0=elim0,
         d1=elim1,
-        label=sq.label,
     )
 
 

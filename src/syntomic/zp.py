@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from .arith import Monomial, PrimeContext, mono_str
+from .arith import Monomial, mono_str, require_prime
 from .linalg import (
     BL,
     BR,
@@ -46,8 +46,7 @@ def left_window(p: int, i: int) -> int:
 
 
 def right_window(p: int, i: int) -> int:
-    # empty for weight 0: there is no twisted Nygaard index to populate
-    return (i - 1) // (p - 1) if i >= 1 else -1
+    return (i - 1) // (p - 1)
 
 
 def standard_cutoffs(p: int, i: int) -> WindowCutoffs:
@@ -56,7 +55,7 @@ def standard_cutoffs(p: int, i: int) -> WindowCutoffs:
     return WindowCutoffs(tl=i + kl, tr=top, bl=i + kl, br=top)
 
 
-def _square(p: int, i: int, window: WindowCutoffs, label: str) -> SquareComplex:
+def _square(p: int, i: int, window: WindowCutoffs) -> SquareComplex:
     """The truncated square in weight i, cut to the given corner tops.
 
     Each corner keeps its basis elements of filtration degree at most the
@@ -141,7 +140,6 @@ def _square(p: int, i: int, window: WindowCutoffs, label: str) -> SquareComplex:
         v_right=v_right,
         nabla_bot=nabla_bot,
         bl_in_span=bl_in_span,
-        label=label,
     )
 
 
@@ -151,7 +149,7 @@ def build_zp_square(p: int, i: int, extra: int = 0) -> SquareComplex:
     extra widens every window by the given number of basis elements; the
     certified dimensions must not depend on it (see verify_truncation).
     """
-    PrimeContext(p)  # validates primality
+    require_prime(p)
     if i < 0:
         raise ValueError("weight must be >= 0")
     if extra < 0:
@@ -162,7 +160,7 @@ def build_zp_square(p: int, i: int, extra: int = 0) -> SquareComplex:
     window = WindowCutoffs(
         tl=c.tl + extra, tr=c.tr + grow, bl=c.bl + extra, br=c.br + grow
     )
-    return _square(p, i, window, f"zp p={p} weight={i} extra={extra}")
+    return _square(p, i, window)
 
 
 def _monomial(i: int, witness: tuple[str, int]) -> Monomial:
@@ -222,7 +220,7 @@ def h2_name(p: int, w: int) -> str | None:
 
 def _classes(p: int, i: int) -> list[tuple[int, NamedClass]]:
     """Each named class in weight i, with the exponent of its Bott factor."""
-    PrimeContext(p)  # validates primality
+    require_prime(p)
     if i < 0:
         raise ValueError("weight must be >= 0")
     out: list[tuple[int, NamedClass]] = []
@@ -318,14 +316,14 @@ def mod_v1_square(p: int, i: int) -> SquareComplex:
     upstairs carry no E factor, the top Bott action shifts z-degree by two,
     and the top right corner keeps two classes instead of one.
     """
-    PrimeContext(p)
+    require_prime(p)
     if i < 0:
         raise ValueError("weight must be >= 0")
     if i < p - 1:
         return build_zp_square(p, i)
     kr = 2 if i == p - 1 else 1
     window = WindowCutoffs(tl=i, tr=i - 1 + kr, bl=p - 1, br=p)
-    sq = _square(p, i, window, f"zp mod v1 p={p} weight={i}")
+    sq = _square(p, i, window)
     # at weight p-1 the square identity on E^i expresses the z^(p-1) column
     # through the right-hand columns, since nabla_bot(1) = 0 exactly
     return replace(sq, bl_in_span={p - 1: 0}) if i == p - 1 else sq

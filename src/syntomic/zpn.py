@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .arith import Monomial, PrimeContext, f_degree
+from .arith import Monomial, f_degree, require_prime
 
 HIGH_FILTRATION = "HIGH_FILTRATION"
 
@@ -52,13 +52,9 @@ class ExpMonomial:
     z_pow: int
     f_index: int
 
-    def f_deg(self, ctx: PrimeContext) -> int:
-        return f_degree(
-            Monomial(
-                e_pow=self.e_pow, z_pow=self.z_pow, f_exp=((self.f_index, 1),)
-            ),
-            ctx,
-        )
+    def f_deg(self, p: int, n: int) -> int:
+        m = Monomial(e_pow=self.e_pow, z_pow=self.z_pow, f_exp=((self.f_index, 1),))
+        return f_degree(m, p, n)
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,7 @@ class StepWitness:
 
 def telescoping_step(p: int, n: int, j: int) -> StepWitness:
     """The j-th clearing step of the weight p^(n-1) - p^(n-2) chain."""
-    PrimeContext(p, n, quotient=True)  # validates p and n
+    require_prime(p)
     if n < 2:
         raise ValueError("need n >= 2")
     i = p ** (n - 1) - p ** (n - 2)
@@ -153,7 +149,7 @@ def certify_vanishing(p: int, n: int) -> VanishingCertificate:
     remainder is the next step's can image until the remainder's filtration
     degree reaches the truncation bound, where it is discarded.
     """
-    ctx = PrimeContext(p, n, quotient=True)
+    require_prime(p)
     if n < 2:
         raise ValueError("need n >= 2")
     i = p ** (n - 1) - p ** (n - 2)
@@ -171,7 +167,7 @@ def certify_vanishing(p: int, n: int) -> VanishingCertificate:
             if w.can_image != prev.phi_image:
                 failures.append(f"chain link broken between steps {j - 1} and {j}")
         # the monomial grading is a second route to the closed-form degrees
-        if w.fdeg_can != w.can_image.f_deg(ctx) or w.fdeg_phi != w.phi_image.f_deg(ctx):
+        if w.fdeg_can != w.can_image.f_deg(p, n) or w.fdeg_phi != w.phi_image.f_deg(p, n):
             failures.append(f"step {j} filtration degree mismatch")
         if w.fdeg_phi <= w.fdeg_can:
             failures.append(f"step {j}: filtration does not strictly ascend")
@@ -200,13 +196,12 @@ def certify_vanishing(p: int, n: int) -> VanishingCertificate:
 def bott_tower_size(p: int, n: int) -> int:
     """p^(n-2), the number of Bott powers that survive in Z/p^n.
 
-    Raises ValueError for n < 2, p < 2, or a tower above MAX_BOTT_TOWER; an
+    Raises ValueError for n < 2, p not prime, or a tower above MAX_BOTT_TOWER; an
     oversized n is refused before the power is formed.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if p < 2:
-        raise ValueError(f"p={p} is not prime")
+    require_prime(p)
     if n - 2 >= MAX_BOTT_TOWER.bit_length() or p ** (n - 2) > MAX_BOTT_TOWER:
         raise ValueError(
             f"p^(n-2) for p={p}, n={n} exceeds the Bott tower limit "

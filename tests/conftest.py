@@ -242,9 +242,7 @@ def _exact_zero_vertical(p: int, i: int, k: int) -> bool:
     return k * (p - 1) == i
 
 
-def reference_square(
-    p: int, i: int, window: WindowCutoffs, label: str
-) -> SquareComplex:
+def reference_square(p: int, i: int, window: WindowCutoffs) -> SquareComplex:
     """The truncated square in weight i, cut to the given corner tops.
 
     Each corner keeps its basis elements of filtration degree at most the
@@ -314,7 +312,6 @@ def reference_square(
         v_right=v_right,
         nabla_bot=nabla_bot,
         bl_in_span=bl_in_span,
-        label=label,
     )
 
 

@@ -2,10 +2,10 @@ import pytest
 
 from syntomic.arith import (
     Monomial,
-    PrimeContext,
     f_degree,
     is_prime,
     mono_str,
+    require_prime,
 )
 from syntomic.verifier import _is_prime as verifier_is_prime
 
@@ -44,20 +44,11 @@ def test_primality_refuses_p_from_two_to_the_sixty_four():
         assert not verifier_is_prime(p)
 
 
-def test_prime_context_rejects_composite_and_bad_n():
-    with pytest.raises(ValueError):
-        PrimeContext(9)
-    with pytest.raises(ValueError):
-        PrimeContext(1)
-    with pytest.raises(ValueError):
-        PrimeContext(5, n=0)
-
-
-def test_f_weights():
-    ctx = PrimeContext(3, n=4, quotient=True)
-    assert [ctx.f_weight(u) for u in range(4)] == [4, 12, 36, 108]
-    with pytest.raises(ValueError):
-        PrimeContext(3).f_weight(0)  # base mode has no f generators
+def test_require_prime_rejects_non_primes():
+    require_prime(2**61 - 1)
+    for p in (9, 1, 0, -3):
+        with pytest.raises(ValueError, match=f"p={p} is not prime"):
+            require_prime(p)
 
 
 def test_monomial_validation():
@@ -72,11 +63,14 @@ def test_monomial_validation():
 
 
 def test_f_degree_and_valuation():
-    ctx = PrimeContext(2, n=3, quotient=True)
     m = Monomial(e_pow=2, z_pow=1, f_exp=((0, 1), (2, 1)), nabla=True, twist=5)
     # 2 + 1 + 1 + 3*1 + 3*4
-    assert f_degree(m, ctx) == 19
-    assert f_degree(Monomial(), ctx) == 0
+    assert f_degree(m, 2, 3) == 19
+    assert f_degree(Monomial(), 2, 3) == 0
+    # f_u alone weighs n p^u
+    assert [f_degree(Monomial(f_exp=((u, 1),)), 3, 4) for u in range(4)] == [
+        4, 12, 36, 108
+    ]
 
 
 def test_mono_str():

@@ -26,6 +26,9 @@ def test_usage_errors_exit_one(capsys):
     assert main(["nonsense"]) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 10
+    # n <= 0 is refused by the same n >= 2 check as n = 1
+    assert main(["certify", "--p", "3", "--n", "0"]) == 1
+    assert capsys.readouterr().err == "error: need n >= 2\n"
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import syntomic
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "syntomic"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -66,3 +68,16 @@ def test_every_imported_name_is_used(path):
             bound |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert bound <= used, sorted(bound - used)
+
+
+def test_all_is_the_public_namespace():
+    # __all__ is exactly the public names __init__.py imports, each bound
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for a in node.names
+    }
+    assert [n for n in syntomic.__all__ if not hasattr(syntomic, n)] == []
+    assert set(syntomic.__all__) == {n for n in imported if not n.startswith("_")}

@@ -507,8 +507,8 @@ def test_square_eliminations_match_the_reference(p):
     for sq in squares:
         rep = square_cohomology(sq)
         ref0, ref1 = reference_square_eliminations(sq)
-        assert _fields(rep.d0) == _fields(ref0), sq.label
-        assert _fields(rep.d1) == _fields(ref1), sq.label
+        assert _fields(rep.d0) == _fields(ref0), (sq.p, sq.weight)
+        assert _fields(rep.d1) == _fields(ref1), (sq.p, sq.weight)
 
 
 def _random_graded_matrix(

@@ -73,9 +73,9 @@ def test_builder_matches_the_windowed_reference(monkeypatch):
     # and mod_v1_square, gives the square the windowed-sum reference builds
     builder, built = zp._square, []
 
-    def recording(p, i, window, label):
-        sq = builder(p, i, window, label)
-        built.append(((p, i, window), sq, reference_square(p, i, window, label)))
+    def recording(p, i, window):
+        sq = builder(p, i, window)
+        built.append(((p, i, window), sq, reference_square(p, i, window)))
         return sq
 
     monkeypatch.setattr(zp, "_square", recording)
