@@ -13,8 +13,11 @@ exact can image, with coefficient one) and block-bidiagonal by level: a
 level-j column leads at level j and its phi image lies wholly at level
 j+1.  So a peel that clears one level at a time, each level's terms with
 their final coefficients, is a sound and complete membership decision, and
-a success constructs an explicit preimage.  Dense F_p elimination over the
-same column space cross-checks the peel for small truncations.
+a success constructs an explicit preimage.  The peel draws each level's
+unit series when it reaches that level.  Each constant term is nonzero, so
+the lowest term of a level never cancels and the sampled verdict depends
+only on p and n; dense F_p elimination over the same column space, on
+small truncations, is the only second route.
 """
 
 from __future__ import annotations
@@ -196,53 +199,12 @@ def _check_certificate(data: dict, check) -> None:
         )
 
 
-def _instantiate_units(
-    p: int, n: int, bound: int, rng: random.Random, max_tail: int = 3
-) -> dict[int, list[tuple[int, int]]]:
-    """A concrete unit series per chain level: nonzero constant plus a short
-    random tail.  The tails are free unknowns of the model, so any choice is
-    a legitimate instantiation.
-
-    Per level, in this order: a constant in [1, p), a tail length in
-    [0, max_tail], then per tail term an offset in [1, max(bound // n, 2))
-    and a coefficient in [0, p).  Each value in [a, a + m) is a plus the
-    first rng.getrandbits(m.bit_length()) below m, which is how CPython's
-    randrange(a, a + m) draws it, so a seed gives the same units and leaves
-    rng in the same state as randrange would.  An empty range (p < 2 or
-    max_tail < 0) raises ValueError before anything is drawn; the rejection
-    loop would never end on it, since getrandbits(0) is always 0.
-    """
-    if p < 2 or max_tail < 0:
-        raise ValueError(f"empty draw range: p={p}, max_tail={max_tail}")
-    getrandbits = rng.getrandbits
-    m_const, k_const = p - 1, (p - 1).bit_length()
-    m_len, k_len = max_tail + 1, (max_tail + 1).bit_length()
-    m_off = max(bound // max(n, 1), 2) - 1
-    k_off = m_off.bit_length()
-    k_coef = p.bit_length()
-    units: dict[int, list[tuple[int, int]]] = {}
-    for j in range(n):
-        r = getrandbits(k_const)
-        while r >= m_const:
-            r = getrandbits(k_const)
-        series = [(0, 1 + r)]
-        length = getrandbits(k_len)
-        while length >= m_len:
-            length = getrandbits(k_len)
-        for _ in range(length):
-            offset = getrandbits(k_off)
-            while offset >= m_off:
-                offset = getrandbits(k_off)
-            lam = getrandbits(k_coef)
-            while lam >= p:
-                lam = getrandbits(k_coef)
-            series.append((1 + offset, lam))
-        units[j] = series
-    return units
-
-
 def _greedy_membership(
-    p: int, n: int, units: dict[int, list[tuple[int, int]]]
+    p: int,
+    n: int,
+    units: dict[int, list[tuple[int, int]]],
+    rng: random.Random | None = None,
+    max_tail: int = 3,
 ) -> tuple[bool, int]:
     """Decide, for the instantiated system, whether the target is hit.
 
@@ -251,37 +213,75 @@ def _greedy_membership(
     column leading at a level-j term is the Nygaard element at s = a - floor
     with floor = weight - p^j; subtracting it trades the term for the
     level-(j+1) terms of its phi image, at z powers p*s + offset for the
-    (offset, lam) of units[j].  The system is block-bidiagonal by level: a
-    level-j column leads at level j and its phi image lies wholly at level
-    j+1.  So once every level-j term is cleared, each level-(j+1)
-    coefficient is final, and the peel clears the levels one at a time,
-    counting each live term once.  A term below its level's floor has no
-    column and fails the peel.  The phi image of level n - 1 lies beyond
-    the truncation, so units must hold every level below n - 1.
+    (offset, lam) of units[j].  Once level j is cleared, each level-(j+1)
+    coefficient is final, so the peel clears one level at a time, counting
+    each live term once; a term below its level's floor has no column and
+    fails it.  No image is formed for an empty level or for level n - 1.
+
+    A level that units does not hold is drawn from rng when the peel
+    reaches it, and stored in units.  In this order: a constant in [1, p),
+    a tail length in [0, max_tail], then per tail term an offset in
+    [1, max(bound // n, 2)) and a coefficient in [0, p), stored only if
+    nonzero: a zero term leaves the series as it is.  Each value in
+    [a, a + m) is a plus the first rng.getrandbits(m.bit_length()) below m,
+    as CPython's randrange(a, a + m) draws it.  Every level is drawn, also
+    once the peel has failed or emptied, so rng ends where randrange leaves
+    it.  An empty range (p < 2 or max_tail < 0) raises ValueError first.
     """
+    if p < 2 or max_tail < 0:
+        raise ValueError(f"empty draw range: p={p}, max_tail={max_tail}")
     weight = p ** (n - 1) - p ** (n - 2)
     bound = n * weight
-    if p ** (n - 1) >= bound:
-        return (True, 0)  # the target is already zero modulo the truncation
-    level = {p ** (n - 1) - n: 1}  # the target z^(p^(n-1) - n) f_0 at level 0
-    clears = 0
+    if rng is not None:
+        getrandbits = rng.getrandbits
+        m_const, k_const = p - 1, (p - 1).bit_length()
+        m_len, k_len = max_tail + 1, (max_tail + 1).bit_length()
+        m_off = max(bound // max(n, 1), 2) - 1
+        k_off, k_coef = m_off.bit_length(), p.bit_length()
+    # the target z^(p^(n-1) - n) f_0 at level 0, if not zero mod truncation
+    level = {p ** (n - 1) - n: 1} if p ** (n - 1) < bound else {}
+    ok, clears, pj = True, 0, 1  # pj = p^j
     for j in range(n):
-        floor = weight - p**j
+        series = units.get(j)
+        if series is None and rng is not None:
+            r = getrandbits(k_const)
+            while r >= m_const:
+                r = getrandbits(k_const)
+            series = [(0, 1 + r)]
+            length = getrandbits(k_len)
+            while length >= m_len:
+                length = getrandbits(k_len)
+            for _ in range(length):
+                offset = getrandbits(k_off)
+                while offset >= m_off:
+                    offset = getrandbits(k_off)
+                lam = getrandbits(k_coef)
+                while lam >= p:
+                    lam = getrandbits(k_coef)
+                if lam:
+                    series.append((1 + offset, lam))
+            units[j] = series
+        floor, pj = weight - pj, pj * p
         if level and min(level) < floor:
-            return (False, clears)  # no column leads at this position
+            ok, level = False, {}  # no column leads at this position
         clears += len(level)
-        if j == n - 1:
-            break
-        limit = bound - n * p ** (j + 1)  # the level-(j+1) truncation
+        if not level or j == n - 1:
+            continue
+        limit = bound - n * pj  # the level-(j+1) truncation
         image: dict[int, int] = {}
+        get = image.get
         for a, coef in level.items():
             base = p * (a - floor)
-            for offset, lam in units[j]:
+            for offset, lam in series:
                 pos = base + offset
                 if pos < limit:
-                    image[pos] = image.get(pos, 0) + coef * lam
-        level = {a: c % p for a, c in image.items() if c % p}
-    return (True, clears)
+                    c = (get(pos, 0) + coef * lam) % p
+                    if c:
+                        image[pos] = c
+                    else:
+                        image.pop(pos, None)
+        level = image
+    return (ok, clears)
 
 
 def _reduce(
@@ -355,10 +355,11 @@ class SampleReport:
 
 
 def sample_certificate(data: dict, samples: int = 100, seed: int = 0) -> SampleReport:
-    """Sample the certified identity; cross-check greedy against dense
-    elimination when the truncation window is small enough to afford it.
-    At least one sample, a prime p and n >= 2 are required: otherwise the
-    samples would pass vacuously, so a ValueError is raised before any draw."""
+    """Sample the certified identity: each sample peels a fresh instantiation
+    drawn level by level from one Random(seed), and the first five samples
+    of a truncation bound <= 24 are cross-checked by dense elimination on the
+    recorded units.  ValueError is raised before any draw unless there is at
+    least one sample, p is prime and n >= 2: else all would pass vacuously."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     p, n = int(data["p"]), int(data["n"])
@@ -368,11 +369,10 @@ def sample_certificate(data: dict, samples: int = 100, seed: int = 0) -> SampleR
         raise ValueError(f"n={n} < 2")
     bound = n * (p ** (n - 1) - p ** (n - 2))
     rng = random.Random(seed)
-    passes = 0
-    crossed = False
+    passes, crossed = 0, False
     for trial in range(samples):
-        units = _instantiate_units(p, n, bound, rng)
-        ok, _ = _greedy_membership(p, n, units)
+        units: dict[int, list[tuple[int, int]]] = {}
+        ok, _ = _greedy_membership(p, n, units, rng)
         if bound <= 24 and trial < 5:
             dense = _dense_membership(p, n, units)
             crossed = True

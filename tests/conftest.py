@@ -11,8 +11,9 @@ peel in lowest-degree order, a scan for the lowest residual term on every
 clear; the verifier peels level by level instead, and on instantiated
 systems the two must agree exactly while sharing no code.
 reference_instantiate_units draws the verifier's unit series through
-random.Random.randrange.  reference_table_json is the K-table document
-through json.dumps, byte for byte what ktheory.table_to_json must write.
+random.Random.randrange, and seventh_peel_fails makes one sampled peel
+fail.  reference_table_json is the K-table document through json.dumps,
+byte for byte what ktheory.table_to_json must write.
 reference_square is the Z_p square builder as it was before columns were
 written in closed form: every column is summed and cut by series_window, so
 zp._square must build equal squares on every window.
@@ -23,6 +24,7 @@ from typing import Iterable
 
 import pytest
 
+from syntomic import verifier
 from syntomic.linalg import (
     CERTIFIED,
     INDETERMINATE,
@@ -50,6 +52,23 @@ def acceptance_record():
         ACCEPTANCE_LINES.append(line)
 
     return rec
+
+
+@pytest.fixture
+def seventh_peel_fails(monkeypatch):
+    """Make the seventh call of verifier._greedy_membership report a failure
+    with its true clear count.  It lies past the five samples that
+    sample_certificate cross-checks, so only the pass count can show it.
+    Returns the list of true verdicts, one per call."""
+    peel, verdicts = verifier._greedy_membership, []
+
+    def seventh_fails(p, n, units, rng=None, max_tail=3):
+        ok, clears = peel(p, n, units, rng, max_tail)
+        verdicts.append(ok)
+        return (ok and len(verdicts) != 7, clears)
+
+    monkeypatch.setattr(verifier, "_greedy_membership", seventh_fails)
+    return verdicts
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -473,8 +492,9 @@ def reference_square_eliminations(sq):
 
 def reference_instantiate_units(p, n, bound, rng, max_tail=3):
     """The verifier's unit series drawn through rng.randrange: per level a
-    nonzero constant plus a short random tail.  verifier._instantiate_units
-    must give the same units and leave rng in the same state."""
+    nonzero constant plus a short random tail.  verifier._greedy_membership,
+    given rng and an empty units dict, must record the same units with the
+    zero-coefficient tail terms left out, and leave rng in the same state."""
     units = {}
     for j in range(n):
         series = [(0, rng.randrange(1, p))]

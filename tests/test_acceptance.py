@@ -79,22 +79,29 @@ def test_criterion_2_mod_v1_weight_tables(acceptance_record):
 
 
 def test_criterion_3_vanishing_certificates(acceptance_record):
+    # with every constant term nonzero the sampled verdict depends only on
+    # p and n, so the dense cross-check (truncation bound <= 24) is the only
+    # second route the samples take; every such cell must take it
     failures = []
-    pairs = 0
+    pairs = crossed = 0
     for p in CERT_PRIMES:
         for n in CERT_POWERS:
             cert = certify_vanishing(p, n)
             data = cert.to_dict()
             report = verify_certificate(data)
             sampled = sample_certificate(data, samples=100, seed=0)
+            dense = n * (p ** (n - 1) - p ** (n - 2)) <= 24
             if not (cert.verified and report.ok and sampled.passes == 100
-                    and sampled.total == 100):
+                    and sampled.total == 100 and sampled.cross_checked == dense):
                 failures.append((p, n, cert.verified, report.errors,
-                                 f"{sampled.passes}/{sampled.total}"))
+                                 f"{sampled.passes}/{sampled.total}",
+                                 f"cross_checked={sampled.cross_checked}"))
             pairs += 1
+            crossed += sampled.cross_checked
     _verdict(
         acceptance_record, 3, failures,
-        f"{pairs} certificates verified, re-verified, sampled 100/100",
+        f"{pairs} certificates verified, re-verified, sampled 100/100, "
+        f"{crossed} cross-checked by dense elimination",
     )
 
 

@@ -9,7 +9,7 @@ import pytest
 from syntomic import zp
 from syntomic.cli import main
 from syntomic.linalg import UNKNOWN_ENTRY, Series
-from syntomic.verifier import SampleReport, VerifierReport
+from syntomic.verifier import VerifierReport
 from syntomic.zp import zp_cohomology
 
 
@@ -225,16 +225,16 @@ def test_certify_default_path_and_summary(tmp_path, monkeypatch, capsys):
     }
 
 
-def test_certify_failing_samples_exit_two(tmp_path, monkeypatch, capsys):
+def test_certify_failing_samples_exit_two(
+    seventh_peel_fails, tmp_path, monkeypatch, capsys
+):
+    # one failed peel goes through the sampler's own count to the exit code
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(
-        "syntomic.cli.verifier.sample_certificate",
-        lambda data, samples, seed: SampleReport(
-            passes=samples - 1, total=samples, cross_checked=False
-        ),
-    )
-    assert main(["certify", "--p", "2", "--n", "2", "--samples", "10"]) == 2
-    assert "samples=9/10" in capsys.readouterr().out
+    assert main(["certify", "--p", "2", "--n", "4", "--samples", "10"]) == 2
+    assert capsys.readouterr().out.endswith(" samples=9/10\n")
+    assert seventh_peel_fails == [True] * 10
+    doc = json.loads((tmp_path / "vanishing_p2_n4.json").read_text())
+    assert doc["sampling"]["passes"] == 9 and doc["sampling"]["total"] == 10
 
 
 def test_certify_passes_every_sample_far_above_the_benchmark_n(

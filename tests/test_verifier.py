@@ -7,7 +7,6 @@ from syntomic.verifier import (
     SampleReport,
     _dense_membership,
     _greedy_membership,
-    _instantiate_units,
     sample_certificate,
     verify_certificate,
 )
@@ -19,13 +18,19 @@ def test_sample_report_semantics():
     assert not SampleReport(passes=4, total=5, cross_checked=True)
 
 
+def _nonzero_terms(units):
+    """units with every zero-coefficient term left out, as the peel records
+    them: a term with coefficient 0 does not change the series."""
+    return {j: [term for term in series if term[1]] for j, series in units.items()}
+
+
 def test_instantiated_units_have_nonzero_constants():
-    rng = random.Random(3)
-    units = _instantiate_units(5, 3, 60, rng)
+    units = {}
+    _greedy_membership(5, 3, units, random.Random(3))
     assert set(units) == {0, 1, 2}
     for series in units.values():
         assert series[0][0] == 0 and 1 <= series[0][1] < 5
-        assert all(off > 0 for off, _ in series[1:])
+        assert all(off > 0 and 1 <= lam < 5 for off, lam in series[1:])
 
 
 @pytest.mark.parametrize("max_tail", [0, 3, 12])
@@ -38,8 +43,10 @@ def test_unit_draws_are_the_randrange_draws(p, max_tail):
         seed = 1000 * p + 10 * n + max_tail
         rng, ref = random.Random(seed), random.Random(seed)
         for _ in range(20):
-            got = _instantiate_units(p, n, bound, rng, max_tail)
-            assert got == reference_instantiate_units(p, n, bound, ref, max_tail)
+            units = {}
+            _greedy_membership(p, n, units, rng, max_tail)
+            want = reference_instantiate_units(p, n, bound, ref, max_tail)
+            assert units == _nonzero_terms(want)
         assert rng.getstate() == ref.getstate(), (p, n, max_tail)
 
 
@@ -48,9 +55,10 @@ def test_unit_draws_refuse_an_empty_range(p, max_tail):
     # a rejection loop on getrandbits(0) would never end
     rng = random.Random(0)
     state = rng.getstate()
+    units = {}
     with pytest.raises(ValueError, match="empty draw range"):
-        _instantiate_units(p, 3, 12, rng, max_tail)
-    assert rng.getstate() == state
+        _greedy_membership(p, 3, units, rng, max_tail)
+    assert rng.getstate() == state and units == {}
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
@@ -60,23 +68,26 @@ def test_greedy_matches_dense_on_small_truncations(p, n):
     rng = random.Random(100 * p + n)
     for max_tail in (3, 12):
         for _ in range(30):
-            units = _instantiate_units(p, n, bound, rng, max_tail)
-            ok, _ = _greedy_membership(p, n, units)
+            units = {}
+            ok, _ = _greedy_membership(p, n, units, rng, max_tail)
+            assert set(units) == set(range(n))
             assert ok == _dense_membership(p, n, units), (max_tail, units)
             assert ok  # membership certified, so every instantiation passes
 
 
 def test_greedy_constructs_clearing_sequences():
-    rng = random.Random(7)
-    units = _instantiate_units(3, 3, 18, rng)
-    ok, clears = _greedy_membership(3, 3, units)
+    ok, clears = _greedy_membership(3, 3, {}, random.Random(7))
     assert ok and clears >= 1
 
 
 def test_degenerate_case_is_vacuously_members():
-    # (2, 2): the target already sits at the truncation bound
-    units = _instantiate_units(2, 2, 4, random.Random(0))
-    assert _greedy_membership(2, 2, units) == (True, 0)
+    # (2, 2): the target already sits at the truncation bound, and both
+    # levels are still drawn
+    rng, ref = random.Random(0), random.Random(0)
+    units = {}
+    assert _greedy_membership(2, 2, units, rng) == (True, 0)
+    assert units == _nonzero_terms(reference_instantiate_units(2, 2, 2, ref))
+    assert rng.getstate() == ref.getstate() != random.Random(0).getstate()
     assert _dense_membership(2, 2, units)
 
 
@@ -85,15 +96,18 @@ def test_degenerate_case_is_vacuously_members():
 def test_peel_matches_the_reference_scan(p, max_tail):
     # every n whose truncation bound is at most about 3000: up to n = 10
     # at p = 2 (bound 2560), 7 at p = 3 (3402), 5 at p = 5, 4 at p = 7;
-    # past bound 1000 the reference scan is slow, so fewer draws there
-    rng = random.Random(1000 * p + max_tail)
+    # past bound 1000 the reference scan is slow, so fewer draws there.  The
+    # reference scans the reference draws, zero-coefficient terms included.
+    rng, ref = random.Random(1000 * p + max_tail), random.Random(1000 * p + max_tail)
     n = 2
     while n * (p ** (n - 1) - p ** (n - 2)) <= 3500:
         bound = n * (p ** (n - 1) - p ** (n - 2))
         for _ in range(25 if bound <= 1000 else 3):
-            units = _instantiate_units(p, n, bound, rng, max_tail)
-            got = _greedy_membership(p, n, units)
-            assert got == reference_greedy_membership(p, n, units), (n, units)
+            units = {}
+            got = _greedy_membership(p, n, units, rng, max_tail)
+            want = reference_instantiate_units(p, n, bound, ref, max_tail)
+            assert units == _nonzero_terms(want)
+            assert got == reference_greedy_membership(p, n, want), (n, want)
         n += 1
     assert n > 4
 
@@ -103,19 +117,19 @@ def test_heap_peel_matches_the_reference_at_benchmark_sizes(p, n):
     # the certify sizes of the zpn-large benchmark (bounds 2560 and 11664);
     # the draws and the peel are compared together, sample by sample.  The
     # peel is level by level now; the name is kept from the heap-ordered peel
-    # it replaced, so this check keeps its id across that change.
+    # it replaced, so this check keeps its id across that change.  At (2, 10)
+    # levels 8 and 9 are empty in every sample, so the generator state shows
+    # whether the peel still draws the levels it no longer needs.
     bound = n * (p ** (n - 1) - p ** (n - 2))
     rng, ref = random.Random(5), random.Random(5)
-    got = [
-        _greedy_membership(p, n, _instantiate_units(p, n, bound, rng))
-        for _ in range(20)
-    ]
+    got = [_greedy_membership(p, n, {}, rng) for _ in range(20)]
     want = [
         reference_greedy_membership(p, n, reference_instantiate_units(p, n, bound, ref))
         for _ in range(20)
     ]
     assert got == want
     assert all(ok and clears for ok, clears in got)
+    assert rng.getstate() == ref.getstate()
 
 
 # Hand-built maps, not instantiations: negative offsets put phi images
@@ -197,6 +211,14 @@ def test_sampling_cross_check_flag_follows_bound():
     assert small.ok and small.cross_checked
     big = sample_certificate(certify_vanishing(5, 3).to_dict(), samples=10, seed=1)
     assert big.ok and not big.cross_checked
+
+
+def test_sampler_counts_each_failed_sample(seventh_peel_fails):
+    # (2, 4) has bound 16, so samples 1-5 are cross-checked and the failed
+    # seventh reaches only the pass count
+    report = sample_certificate(certify_vanishing(2, 4).to_dict(), samples=10, seed=3)
+    assert seventh_peel_fails == [True] * 10
+    assert report == SampleReport(passes=9, total=10, cross_checked=True)
 
 
 def test_sampling_is_seed_deterministic():
