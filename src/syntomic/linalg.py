@@ -1,12 +1,12 @@
 """Certified linear algebra over F_p with partially known entries.
 
-Matrix entries are one of: a known residue, an unknown unit (certainly
-nonzero, value unknown), or a fully unknown residue.  Symbols carry no
-identity: every symbolic entry, even one that is the same shared object as
-another, stands for a value independent of all other entries, so no two
-symbols ever cancel (u - u is unknown).  Elimination only ever divides by
-certainly nonzero entries and only reports a rank when the outcome is forced
-for every consistent assignment of the unknowns; otherwise it reports
+Matrix entries are plain data: a known entry is its residue, an int in
+range(p); UNIT_ENTRY (certainly nonzero, value unknown) and UNKNOWN_ENTRY (a
+fully unknown residue) are two strings.  Symbols carry no identity: every
+symbolic entry stands for a value independent of all other entries, so no
+two symbols ever cancel (u - u is unknown).  Elimination only ever divides
+by certainly nonzero entries and only reports a rank when the outcome is
+forced for every consistent assignment of the unknowns; otherwise it reports
 INDETERMINATE together with the first blocking position.
 
 Columns of the square-complex differentials are filtration-graded series:
@@ -20,65 +20,50 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-KNOWN = "known"
-UNIT = "unit"
-UNKNOWN = "unknown"
-
 CERTIFIED = "CERTIFIED"
 INDETERMINATE = "INDETERMINATE"
 
-
-@dataclass(frozen=True)
-class Scalar:
-    kind: str
-    value: int = 0
-
-    def __repr__(self) -> str:
-        if self.kind == KNOWN:
-            return f"<{self.value}>"
-        return "<u>" if self.kind == UNIT else "<?>"
-
-
 # the one unit symbol and the one unknown symbol, shared by every entry
-UNIT_ENTRY = Scalar(UNIT)
-UNKNOWN_ENTRY = Scalar(UNKNOWN)
+UNIT_ENTRY = "u"
+UNKNOWN_ENTRY = "?"
+_SYMBOLS = (UNIT_ENTRY, UNKNOWN_ENTRY)
+
+Scalar = int | str  # a residue or one of the two symbols
 
 
 def known(v: int, p: int) -> Scalar:
-    return Scalar(KNOWN, v % p)
+    return v % p
 
 
 def is_known_zero(s: Scalar) -> bool:
-    return s.kind == KNOWN and s.value == 0
+    return s == 0
 
 
 def certainly_nonzero(s: Scalar) -> bool:
-    return s.kind == UNIT or (s.kind == KNOWN and s.value != 0)
+    return s != 0 and s != UNKNOWN_ENTRY
 
 
 def scalar_add(a: Scalar, b: Scalar, p: int) -> Scalar:
-    if is_known_zero(a):
+    if a == 0:
         return b
-    if is_known_zero(b):
+    if b == 0:
         return a
-    if a.kind == KNOWN and b.kind == KNOWN:
-        return known(a.value + b.value, p)
+    if isinstance(a, int) and isinstance(b, int):
+        return (a + b) % p
     # a sum involving a symbol is unknown: no relation between symbols may be
     # assumed, including cancellation
     return UNKNOWN_ENTRY
 
 
 def scalar_neg(a: Scalar, p: int) -> Scalar:
-    if a.kind == KNOWN:
-        return known(-a.value, p)
-    return a
+    return -a % p if isinstance(a, int) else a
 
 
 def scalar_mul(a: Scalar, b: Scalar, p: int) -> Scalar:
-    if is_known_zero(a) or is_known_zero(b):
-        return known(0, p)
-    if a.kind == KNOWN and b.kind == KNOWN:
-        return known(a.value * b.value, p)
+    if a == 0 or b == 0:
+        return 0
+    if isinstance(a, int) and isinstance(b, int):
+        return a * b % p
     if certainly_nonzero(a) and certainly_nonzero(b):
         return UNIT_ENTRY
     return UNKNOWN_ENTRY
@@ -88,10 +73,10 @@ def scalar_div(a: Scalar, b: Scalar, p: int) -> Scalar:
     """a / b; b must be certainly nonzero."""
     if not certainly_nonzero(b):
         raise ZeroDivisionError("division by a not-certainly-nonzero scalar")
-    if is_known_zero(a):
+    if a == 0:
         return a
-    if a.kind == KNOWN and b.kind == KNOWN:
-        return known(a.value * pow(b.value, -1, p), p)
+    if isinstance(a, int) and isinstance(b, int):
+        return a * pow(b, -1, p) % p
     if certainly_nonzero(a):
         return UNIT_ENTRY
     return UNKNOWN_ENTRY
@@ -171,17 +156,18 @@ def certified_eliminate(
 
     A column holds one Series per corner tag and its rows are (tag, degree)
     pairs.  A tail stands for an independent unknown on each row of its
-    corner from tail_from up; tails are never expanded into entries.
+    corner from tail_from up; tails are never expanded into entries.  An
+    explicit entry must be an int in range(1, p) or one of the two symbols.
 
     Rows are visited once, in the given order.  The candidates at row
     (tag, d) are the pivotless columns with an explicit term there, found
     through a row index, and those whose tail on tag starts at or below d,
-    found as a prefix of a per-corner list sorted by tail_from.  The lowest
-    candidate with a certainly nonzero explicit entry becomes a pivot and is
-    subtracted from every other candidate: the pivot-row entry cancels
-    exactly, the other explicit terms combine conservatively, each corner
-    keeps the lower of the two tails, and explicit terms that land inside a
-    tail are absorbed by it.  A combined column is re-indexed under the rows
+    found as a prefix of a per-corner list sorted by tail_from.  The first
+    candidate in the order given with a certainly nonzero explicit entry
+    becomes a pivot and is subtracted from every other candidate: the
+    pivot-row entry cancels exactly, the other explicit terms combine
+    conservatively, each corner keeps the lower of the two tails, and
+    explicit terms that land inside a tail are absorbed by it.  A combined column is re-indexed under the rows
     and tails it now has.  A row therefore costs time in its candidates and
     the terms they combine, not in the number of columns.
     Already-pivoted columns are never touched again: their entries on later
@@ -194,14 +180,16 @@ def certified_eliminate(
     is of columns that are zero there.
 
     Columns listed in in_span are known linear combinations of the remaining
-    columns; they are excluded from pivoting and counted into the kernel.
+    columns; they are excluded from pivoting and counted into the kernel,
+    after the resolved-zero columns and in the order listed.  Column keys
+    need only be hashable.
 
     The result is CERTIFIED when no pivotless column keeps an explicit term
     or a tail on a row that is not a pivot row, which forces both the rank
     and the kernel dimension for every consistent assignment of the symbolic
     entries.
     """
-    span = set(in_span)
+    span = dict.fromkeys(in_span)
     for c in span:
         if c not in columns:
             raise ValueError(f"in-span column {c!r} not among the columns")
@@ -215,15 +203,20 @@ def certified_eliminate(
             for d, s in series.terms:
                 if (tag, d) not in rows:
                     raise ValueError(f"explicit term at {(tag, d)!r} has no row")
+                if not (0 < s < p if type(s) is int else s in _SYMBOLS):
+                    raise ValueError(
+                        f"entry {s!r} at {(tag, d)!r} is neither a residue "
+                        f"in 1..{p - 1} nor a symbol"
+                    )
                 terms[(tag, d)] = s
             if series.tail_from is not None:
                 tails[tag] = series.tail_from
         if c not in span:
             graded[c] = (terms, tails)
-    # working columns are keyed by their position in sorted order, so the
-    # lowest of them is the smallest int
-    order = sorted(graded)
-    work = [graded[c] for c in order]
+    # working columns are keyed by their position in the order given, so the
+    # first of them is the smallest int
+    order = list(graded)
+    work = list(graded.values())
 
     def entry(j: int, r: tuple[Any, int]) -> Scalar | None:
         """The entry of column j on a row that is not a pivot row."""
@@ -256,7 +249,6 @@ def certified_eliminate(
         index(j, list.append)
     for tail_list in tail_index.values():
         tail_list.sort()
-    zero = known(0, p)
     after_last = len(order)  # above every column position
     pivots: list[tuple[Any, Any]] = []
     pivoted: set[int] = set()
@@ -295,8 +287,8 @@ def certified_eliminate(
             for rr in terms.keys() | pterms.keys():
                 if rr == r or _in_tail(merged, rr):
                     continue  # cancelled at the pivot row, or absorbed by a tail
-                lhs = terms.get(rr, zero)
-                sub = scalar_mul(coef, pterms.get(rr, zero), p)
+                lhs = terms.get(rr, 0)
+                sub = scalar_mul(coef, pterms.get(rr, 0), p)
                 nv = scalar_add(lhs, scalar_neg(sub, p), p)
                 if not is_known_zero(nv):
                     combined[rr] = nv
@@ -314,7 +306,7 @@ def certified_eliminate(
         elif blocking is None:
             blocking = (order[j], first)
     status = CERTIFIED if blocking is None else INDETERMINATE
-    kernel.extend(sorted(span))
+    kernel.extend(span)
     return EliminationResult(
         status=status,
         rank=len(pivots),
@@ -389,9 +381,13 @@ class CohomologyReport:
 
 
 def square_cohomology(sq: SquareComplex) -> CohomologyReport:
-    """Certified cohomology of the total complex of a square."""
+    """Certified cohomology of the total complex of a square.
+
+    Each elimination column is keyed by the square's own (corner, index)
+    pair: (TL, k) in d0, and (TR, k) then (BL, m) in d1.
+    """
     p = sq.p
-    cols0 = {(0, k): {TR: sq.nabla_top[k], BL: sq.v_left[k]} for k, _ in sq.tl}
+    cols0 = {(TL, k): {TR: sq.nabla_top[k], BL: sq.v_left[k]} for k, _ in sq.tl}
     rows1 = sorted(
         [(TR, d) for _, d in sq.tr] + [(BL, d) for _, d in sq.bl],
         key=lambda rk: (rk[1], _ROW_RANK[rk[0]]),
@@ -400,12 +396,12 @@ def square_cohomology(sq: SquareComplex) -> CohomologyReport:
 
     # d1(x, y) = v_right(x) - nabla_bot(y); scaling a column by the unit -1
     # moves no pivot, kernel column or blocking entry, so the sign is dropped
-    cols1 = {(0, k): {BR: sq.v_right[k]} for k, _ in sq.tr}
+    cols1 = {(TR, k): {BR: sq.v_right[k]} for k, _ in sq.tr}
     for m, _ in sq.bl:
-        cols1[(1, m)] = {BR: sq.nabla_bot[m]}
+        cols1[(BL, m)] = {BR: sq.nabla_bot[m]}
     rows2 = sorted((BR, d) for _, d in sq.br)
     elim1 = certified_eliminate(
-        cols1, rows2, p, in_span=[(1, m) for m in sq.bl_in_span]
+        cols1, rows2, p, in_span=[(BL, m) for m in sq.bl_in_span]
     )
 
     nt, ntr, nbl, nbr = sq.corner_sizes()
@@ -478,7 +474,7 @@ def verify_truncation(sq: SquareComplex, cutoffs: WindowCutoffs) -> TruncationCh
             continue
         hseries = sq.v_left[k]
         materialize(hseries, bl_degs)  # raises on a term with no row
-        if not hseries.terms or hseries.terms[0][1] != Scalar(KNOWN, 1 % sq.p):
+        if not hseries.terms or hseries.terms[0][1] != 1:
             return fail((TL, k), "beyond column lost its exact unit leading term")
         lead = hseries.terms[0][0]
         if lead <= cutoffs.bl:
@@ -495,7 +491,7 @@ def verify_truncation(sq: SquareComplex, cutoffs: WindowCutoffs) -> TruncationCh
             continue
         hseries = sq.v_right[k]
         entries = materialize(hseries, br_degs)  # raises on a term with no row
-        if not hseries.terms or hseries.terms[0][1] != Scalar(KNOWN, 1 % sq.p):
+        if not hseries.terms or hseries.terms[0][1] != 1:
             if entries:
                 return fail((TR, k), "beyond column lost its exact unit leading term")
             continue  # maps entirely beyond the extended window: harmless

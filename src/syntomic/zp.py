@@ -264,13 +264,11 @@ def _witnesses(sq: SquareComplex, rep: CohomologyReport) -> set[tuple[str, int]]
     i = sq.weight
     boundary = {r for r, _ in rep.d0.pivots}
     hit = {d for (_, d), _ in rep.d1.pivots}
-    out = {(TL, k) for _, k in rep.d0.kernel_columns}
-    for side, k in rep.d1.kernel_columns:
-        # d1 column (0, k) is TR class k, in degree k+i-1; (1, m) is BL class m
-        if side == 0 and (TR, k + i - 1) not in boundary:
-            out.add((TR, k))
-        elif side == 1 and (BL, k) not in boundary:
-            out.add((BL, k))
+    out = set(rep.d0.kernel_columns)
+    for corner, k in rep.d1.kernel_columns:
+        # TR class k sits in degree k+i-1, BL class m in degree m
+        if ((TR, k + i - 1) if corner == TR else (BL, k)) not in boundary:
+            out.add((corner, k))
     out.update((BR, d) for _, d in sq.br if d not in hit)
     return out
 

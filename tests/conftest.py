@@ -29,6 +29,8 @@ from syntomic.linalg import (
     CERTIFIED,
     INDETERMINATE,
     EliminationResult,
+    UNIT_ENTRY,
+    UNKNOWN_ENTRY,
     Scalar,
     Series,
     SquareComplex,
@@ -123,11 +125,11 @@ def fp_rank(columns, p: int) -> int:
 
 
 def _value(s, p, rng) -> int:
-    if s.kind == "known":
-        return s.value % p
-    if s.kind == "unit":
+    if s == UNIT_ENTRY:
         return rng.randrange(1, p)
-    return rng.randrange(p)
+    if s == UNKNOWN_ENTRY:
+        return rng.randrange(p)
+    return s % p
 
 
 def instantiate_square(sq, rng):
@@ -338,7 +340,7 @@ def _series_coeff(series, d):
     """Coefficient at degree d: an int when known, None when unknown."""
     for dd, s in series.terms:
         if dd == d:
-            return s.value if s.kind == "known" else None
+            return s if isinstance(s, int) else None
     if series.tail_from is not None and d >= series.tail_from:
         return None
     return 0
@@ -380,11 +382,12 @@ def known_square_identity_holds(sq) -> bool:
 def reference_eliminate(columns, row_order, p, in_span=()):
     """Certified elimination on dict columns {row: Scalar}, tails expanded.
 
-    The same pivot rule as the engine: rows in the given order, the lowest
-    pivotless column with a certainly nonzero entry pivots and is subtracted
-    from every other pivotless column with an entry on that row.
+    The same pivot rule as the engine: rows in the given order, the first
+    pivotless column in the order given with a certainly nonzero entry
+    pivots and is subtracted from every other pivotless column with an entry
+    on that row.  In-span columns join the kernel in the order listed.
     """
-    span = set(in_span)
+    span = dict.fromkeys(in_span)
     for c in span:
         if c not in columns:
             raise ValueError(f"in-span column {c!r} not among the columns")
@@ -393,7 +396,7 @@ def reference_eliminate(columns, row_order, p, in_span=()):
         for c, col in columns.items()
         if c not in span
     }
-    order = sorted(work)
+    order = list(work)
     pivots = []
     pivoted = set()
     for r in row_order:
@@ -439,7 +442,7 @@ def reference_eliminate(columns, row_order, p, in_span=()):
                 blocking = (c, min(work[c], key=lambda r: pos[r]))
         else:
             kernel.append(c)
-    kernel.extend(sorted(span))
+    kernel.extend(span)
     return EliminationResult(
         status=CERTIFIED if blocking is None else INDETERMINATE,
         rank=len(pivots),
@@ -470,23 +473,25 @@ def reference_square_eliminations(sq):
         key=lambda rk: (rk[1], {"TR": 0, "BL": 1}[rk[0]]),
     )
     cols0 = {
-        (0, k): materialized_column(
+        ("TL", k): materialized_column(
             {"TR": sq.nabla_top[k], "BL": sq.v_left[k]}, rows1, p
         )
         for k, _ in sq.tl
     }
     rows2 = [("BR", d) for d in sorted(d for _, d in sq.br)]
     cols1 = {
-        (0, k): materialized_column({"BR": sq.v_right[k]}, rows2, p)
+        ("TR", k): materialized_column({"BR": sq.v_right[k]}, rows2, p)
         for k, _ in sq.tr
     }
     for m, _ in sq.bl:
-        cols1[(1, m)] = materialized_column(
+        cols1[("BL", m)] = materialized_column(
             {"BR": sq.nabla_bot[m]}, rows2, p, negate=True
         )
     return (
         reference_eliminate(cols0, rows1, p),
-        reference_eliminate(cols1, rows2, p, in_span=[(1, m) for m in sq.bl_in_span]),
+        reference_eliminate(
+            cols1, rows2, p, in_span=[("BL", m) for m in sq.bl_in_span]
+        ),
     )
 
 

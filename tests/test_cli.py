@@ -141,7 +141,7 @@ def test_zp_indeterminate_weight_exits_two_with_its_row(
         )
 
     monkeypatch.setattr(zp, "build_zp_square", blocked)
-    assert zp_cohomology(2, 3).d1.blocking == ((1, 1), ("BR", 1))
+    assert zp_cohomology(2, 3).d1.blocking == (("BL", 1), ("BR", 1))
     monkeypatch.setenv("SYNTOMIC_OUTPUT_DIR", str(tmp_path))
     argv = ["zp", "--p", "2", "--weights", "2..4", "--format", fmt]
     assert main(argv + ["--output", "f"]) == 2

@@ -35,6 +35,12 @@ def test_imports_are_stdlib_or_the_package(path):
         assert level or name in sys.stdlib_module_names or name == "syntomic", name
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
+def test_modules_parse_as_python_3_10(path):
+    # pyproject.toml declares requires-python >= 3.10
+    ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 def test_verifier_imports_nothing_from_the_package():
     for name, level in _imported(PACKAGE / "verifier.py"):
         assert not level and name != "syntomic", (name, level)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -13,12 +14,8 @@ from conftest import (
 from syntomic.linalg import (
     CERTIFIED,
     INDETERMINATE,
-    KNOWN,
-    UNIT,
     UNIT_ENTRY,
-    UNKNOWN,
     UNKNOWN_ENTRY,
-    Scalar,
     Series,
     SquareComplex,
     certainly_nonzero,
@@ -63,17 +60,17 @@ def test_sums_with_symbols_forget_identity():
     p = 5
     u = UNIT_ENTRY
     s = scalar_add(u, known(1, p), p)
-    assert s.kind == UNKNOWN  # a unit plus one may vanish
+    assert s == UNKNOWN_ENTRY  # a unit plus one may vanish
     t = scalar_add(UNKNOWN_ENTRY, UNKNOWN_ENTRY, p)
-    assert t.kind == UNKNOWN
+    assert t == UNKNOWN_ENTRY
 
 
 def test_products_of_nonzeros_stay_nonzero():
     p = 5
     u = UNIT_ENTRY
-    assert scalar_mul(u, u, p).kind == UNIT
-    assert scalar_mul(u, known(2, p), p).kind == UNIT
-    assert scalar_mul(u, UNKNOWN_ENTRY, p).kind == UNKNOWN
+    assert scalar_mul(u, u, p) == UNIT_ENTRY
+    assert scalar_mul(u, known(2, p), p) == UNIT_ENTRY
+    assert scalar_mul(u, UNKNOWN_ENTRY, p) == UNKNOWN_ENTRY
     assert certainly_nonzero(u) and not certainly_nonzero(UNKNOWN_ENTRY)
 
 
@@ -82,7 +79,7 @@ def test_symbol_minus_the_same_shared_symbol_is_unknown():
     p = 5
     for sym in (UNIT_ENTRY, UNKNOWN_ENTRY):
         assert scalar_neg(sym, p) is sym
-        assert scalar_add(sym, scalar_neg(sym, p), p).kind == UNKNOWN
+        assert scalar_add(sym, scalar_neg(sym, p), p) == UNKNOWN_ENTRY
 
 
 def test_division_guards():
@@ -91,9 +88,61 @@ def test_division_guards():
         scalar_div(known(1, p), UNKNOWN_ENTRY, p)
     with pytest.raises(ZeroDivisionError):
         scalar_div(known(1, p), known(0, p), p)
-    assert scalar_div(UNIT_ENTRY, UNIT_ENTRY, p).kind == UNIT
-    assert scalar_div(UNKNOWN_ENTRY, UNIT_ENTRY, p).kind == UNKNOWN
+    assert scalar_div(UNIT_ENTRY, UNIT_ENTRY, p) == UNIT_ENTRY
+    assert scalar_div(UNKNOWN_ENTRY, UNIT_ENTRY, p) == UNKNOWN_ENTRY
     assert is_known_zero(scalar_div(known(0, p), UNIT_ENTRY, p))
+
+
+def _meanings(s, p):
+    """The residues an entry may take: a known one itself, a unit every
+    nonzero residue, an unknown every residue."""
+    if s == UNIT_ENTRY:
+        return range(1, p)
+    if s == UNKNOWN_ENTRY:
+        return range(p)
+    return (s,)
+
+
+def _sound(result, values, p):
+    """A known result equals every instantiated value, and UNIT_ENTRY is
+    returned only when every instantiated value is nonzero."""
+    values = set(values)
+    if result == UNIT_ENTRY:
+        return 0 not in values
+    if result == UNKNOWN_ENTRY:
+        return True
+    return type(result) is int and values == {result}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_scalar_ops_hold_on_every_instantiation(p):
+    # each operand is instantiated on its own, as every symbol stands for an
+    # independent value even when both operands are the same constant
+    entries = [*range(p), UNIT_ENTRY, UNKNOWN_ENTRY]
+    for a in entries:
+        xs = _meanings(a, p)
+        assert is_known_zero(a) == (set(xs) == {0}), a
+        assert certainly_nonzero(a) == (0 not in xs), a
+        neg = scalar_neg(a, p)
+        assert _sound(neg, [-x % p for x in xs], p), (a, neg)
+        for b in entries:
+            pairs = list(itertools.product(xs, _meanings(b, p)))
+            add, mul = scalar_add(a, b, p), scalar_mul(a, b, p)
+            assert _sound(add, [(x + y) % p for x, y in pairs], p), (a, b, add)
+            assert _sound(mul, [x * y % p for x, y in pairs], p), (a, b, mul)
+            if certainly_nonzero(b):
+                div = scalar_div(a, b, p)
+                quotients = [x * pow(y, -1, p) % p for x, y in pairs]
+                assert _sound(div, quotients, p), (a, b, div)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    scalar_div(a, b, p)
+            if isinstance(a, int) and isinstance(b, int):
+                # exact on two known entries
+                assert (add, mul) == ((a + b) % p, a * b % p)
+                assert neg == -a % p
+                if b:
+                    assert div == a * pow(b, -1, p) % p
 
 
 # ----------------------------------------------------------------- series
@@ -133,7 +182,7 @@ def test_materialize_tail_rows_and_errors():
     col = materialize(s, [1, 2, 3, 5])
     assert col[1] == known(2, p)
     assert 2 not in col
-    assert all(col[d].kind == UNKNOWN for d in (3, 5))  # every tail row
+    assert all(col[d] == UNKNOWN_ENTRY for d in (3, 5))  # every tail row
     with pytest.raises(ValueError):
         materialize(s, [2, 3])  # explicit term with no row
 
@@ -260,7 +309,7 @@ def test_certified_rank_matches_dense_rank_on_known_matrices():
             res = certified_eliminate(cols, _rows(*range(rows)), p)
             assert res.status == CERTIFIED
             dense = fp_rank(
-                [{r: s.value for r, s in col["R"].terms} for col in cols.values()],
+                [dict(col["R"].terms) for col in cols.values()],
                 p,
             )
             assert res.rank == dense
@@ -279,6 +328,30 @@ def test_row_order_is_respected():
     rows = [("BL", 1), ("TR", 2)]
     res = certified_eliminate(cols, rows, p)
     assert res.pivots == ((("BL", 1), 0),)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (5, "entry 5 at ('R', 0) is neither a residue in 1..4 nor a symbol"),
+        (-1, "entry -1 at ('R', 0) is neither a residue in 1..4 nor a symbol"),
+        (6, "entry 6 at ('R', 0) is neither a residue in 1..4 nor a symbol"),
+        (True, "entry True at ('R', 0) is neither a residue in 1..4 nor a symbol"),
+        ("x", "entry 'x' at ('R', 0) is neither a residue in 1..4 nor a symbol"),
+    ],
+    ids=["p", "negative", "above-p", "bool", "string"],
+)
+def test_an_entry_that_is_no_nonzero_residue_nor_a_symbol_is_refused(
+    entry, message
+):
+    # an unreduced 5 at p = 5 is zero: taken as a pivot it would certify a
+    # rank the column does not have; in-span columns are checked as well
+    match = f"^{re.escape(message)}$"
+    with pytest.raises(ValueError, match=match):
+        certified_eliminate({"c": _col((0, entry))}, _rows(0), 5)
+    cols = {"a": _col((0, 1)), "b": _col((0, entry))}
+    with pytest.raises(ValueError, match=match):
+        certified_eliminate(cols, _rows(0), 5, in_span=["b"])
 
 
 def test_explicit_term_with_no_row_is_rejected():
@@ -393,7 +466,11 @@ def _free_entries(cols, rows, span):
         if c in span:
             continue
         for t, s in parts.items():
-            out += [(c, (t, d), e.kind == UNIT) for d, e in s.terms if e.kind != KNOWN]
+            out += [
+                (c, (t, d), e == UNIT_ENTRY)
+                for d, e in s.terms
+                if not isinstance(e, int)
+            ]
             if s.tail_from is not None:
                 out += [(c, r, False) for r in rows if r[0] == t and r[1] >= s.tail_from]
     return out
@@ -411,8 +488,8 @@ def _instantiations(free, p, rng):
 def _instantiate(cols, span, free, values, p):
     """Plain {row: int} columns; in-span columns are their combinations."""
     inst = {
-        c: {(t, d): e.value for t, s in parts.items() for d, e in s.terms
-            if e.kind == KNOWN}
+        c: {(t, d): e for t, s in parts.items() for d, e in s.terms
+            if isinstance(e, int)}
         for c, parts in cols.items()
         if c not in span
     }

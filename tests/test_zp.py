@@ -182,10 +182,10 @@ def test_named_basis_rejects_bad_input(p, i):
 @pytest.mark.parametrize("extra", [0, 2])
 def test_generator_matching_runs_at_every_margin(extra, monkeypatch):
     # weight 4 at p = 3 names del v1^2, whose witness is the kernel column
-    # (1, 6); a report that loses it must be refused at any window margin
+    # (BL, 6); a report that loses it must be refused at any window margin
     def lose_del_column(sq):
         rep = square_cohomology(sq)
-        kept = tuple(c for c in rep.d1.kernel_columns if c != (1, 6))
+        kept = tuple(c for c in rep.d1.kernel_columns if c != (BL, 6))
         assert kept != rep.d1.kernel_columns
         return replace(rep, d1=replace(rep.d1, kernel_columns=kept))
 
@@ -231,7 +231,7 @@ def test_an_h1_class_on_a_boundary_row_is_refused(monkeypatch):
     # BL column 10 at p = 5, weight 9 is a d1 cycle, but its row is a d0
     # pivot row: the class it spans is a boundary, not a generator
     rep = square_cohomology(build_zp_square(5, 9))
-    assert (1, 10) in rep.d1.kernel_columns
+    assert (BL, 10) in rep.d1.kernel_columns
     assert (BL, 10) in {r for r, _ in rep.d0.pivots}
     monkeypatch.setattr(
         zp, "named_basis", _moved(named_basis, "v1^2*gamma_1", (BL, 10))
@@ -261,15 +261,13 @@ def test_generators_are_the_certified_witnesses_past_the_acceptance_grid(p):
             for c in rep.generators:
                 corner, k = c.witness
                 if corner == TL:
-                    assert (0, k) in rep.d0.kernel_columns, (p, i, c)
+                    assert c.witness in rep.d0.kernel_columns, (p, i, c)
                 elif corner == BR:
                     assert 1 <= k <= rep.corner_sizes[3], (p, i, c)
                     assert (BR, k) not in hit, (p, i, c)
                 else:
-                    col, row = (0, k), (TR, k + i - 1)
-                    if corner == BL:
-                        col, row = (1, k), (BL, k)
-                    assert col in rep.d1.kernel_columns, (p, i, c)
+                    row = (TR, k + i - 1) if corner == TR else (BL, k)
+                    assert c.witness in rep.d1.kernel_columns, (p, i, c)
                     assert row not in boundary, (p, i, c)
             witnesses = {c.witness for c in rep.generators}
             assert len(rep.generators) == len(witnesses) == sum(rep.dims)
@@ -389,7 +387,7 @@ def test_exact_zero_columns():
     # non-bott columns keep their exact leads and unknown tails
     assert sq.nabla_top[0].tail_from == 4
     lead_deg, lead = sq.nabla_bot[2].terms[0]
-    assert (lead_deg, lead.value) == (2, 2)
+    assert (lead_deg, lead) == (2, 2)
     assert sq.nabla_bot[2].tail_from == 3
 
 
