@@ -59,7 +59,8 @@ def build_parser() -> _Parser:
     cert_cmd.add_argument("--samples", type=int, default=100)
     cert_cmd.add_argument("--seed", type=int, default=0)
     cert_cmd.add_argument(
-        "--output", default=None, help="certificate path (default vanishing_p{p}_n{n}.json)"
+        "--output", default=None,
+        help="certificate path (default vanishing_p{p}_n{n}.json)",
     )
     cert_cmd.set_defaults(run=cmd_certify)
 

@@ -320,11 +320,12 @@ def table_to_csv(table: KTable) -> str:
 
 
 def table_to_markdown(table: KTable) -> str:
+    cert = table.certificate
     lines = [
         f"# Even K-groups of Z/{table.p}^{table.n}",
         "",
         f"K_(2i) for 0 <= i <= {table.i_max}; certificate: "
-        f"{table.certificate['steps']} steps, verified={table.certificate['verified']}.",
+        f"{cert['steps']} steps, verified={cert['verified']}.",
         "",
         "| i | K_(2i) | reason | detail | axioms |",
         "|---|--------|--------|--------|--------|",

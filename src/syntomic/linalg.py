@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from math import inf
+from operator import itemgetter
+from typing import Any, Iterable, Iterator
 
 CERTIFIED = "CERTIFIED"
 INDETERMINATE = "INDETERMINATE"
@@ -86,32 +88,18 @@ def scalar_div(a: Scalar, b: Scalar, p: int) -> Scalar:
 class Series:
     """Explicit terms below tail_from, independent unknowns from tail_from up.
 
-    terms is sorted by degree, holds no known zeros, and every explicit
-    degree is strictly below tail_from when a tail is present.
+    Plain data: certified_eliminate and verify_truncation read each column
+    through one check (_graded), and a malformed column raises ValueError
+    naming its (corner, degree) row.
     """
 
     terms: tuple[tuple[int, Scalar], ...] = ()
     tail_from: int | None = None
 
-    def __post_init__(self) -> None:
-        prev = None
-        for d, s in self.terms:
-            if prev is not None and d <= prev:
-                raise ValueError("terms must be strictly increasing in degree")
-            if is_known_zero(s):
-                raise ValueError("known zeros must be dropped")
-            if self.tail_from is not None and d >= self.tail_from:
-                raise ValueError("explicit term inside tail range")
-            prev = d
-
 
 def materialize(series: Series, degrees: Iterable[int]) -> dict[int, Scalar]:
-    """Column entries of the series over the given row degrees.
-
-    Every tail row holds UNKNOWN_ENTRY, independent of every other entry like
-    all symbols; explicit terms must sit on listed rows (builders are
-    responsible for window filtering).
-    """
+    """Column entries of the series over the given row degrees, UNKNOWN_ENTRY
+    on every tail row; an explicit term on no listed row raises ValueError."""
     degset = set(degrees)
     col: dict[int, Scalar] = {}
     for d, s in series.terms:
@@ -146,6 +134,37 @@ def _in_tail(tails: dict[Any, int], r: tuple[Any, int]) -> bool:
     return r[0] in tails and r[1] >= tails[r[0]]
 
 
+def _graded(columns: dict[Any, dict[Any, Series]], rows: set, p: int) -> dict:
+    """The one reader of graded columns: each column as its explicit entries
+    by (tag, degree) row, in degree order per corner, and its tail_from by
+    corner.  Raises ValueError at the first term not above the one before
+    it, not below its tail, on no row, or with an entry neither in
+    range(1, p) nor a symbol."""
+    graded = {}
+    for c, parts in columns.items():
+        terms, tails = graded[c] = {}, {}
+        for tag, series in parts.items():
+            tail, prev = series.tail_from, None
+            for d, s in series.terms:
+                r = (tag, d)
+                if prev is not None and d <= prev:
+                    raise ValueError(f"term at {r!r} is not above the one before it")
+                if tail is not None and d >= tail:
+                    raise ValueError(f"term at {r!r} is not below its tail")
+                if r not in rows:
+                    raise ValueError(f"explicit term at {r!r} has no row")
+                if not (0 < s < p if type(s) is int else s in _SYMBOLS):
+                    raise ValueError(
+                        f"entry {s!r} at {r!r} is neither a residue in 1..{p - 1} "
+                        "nor a symbol"
+                    )
+                terms[r] = s
+                prev = d
+            if tail is not None:
+                tails[tag] = tail
+    return graded
+
+
 def certified_eliminate(
     columns: dict[Any, dict[Any, Series]],
     row_order: list[tuple[Any, int]],
@@ -156,8 +175,8 @@ def certified_eliminate(
 
     A column holds one Series per corner tag and its rows are (tag, degree)
     pairs.  A tail stands for an independent unknown on each row of its
-    corner from tail_from up; tails are never expanded into entries.  An
-    explicit entry must be an int in range(1, p) or one of the two symbols.
+    corner from tail_from up; tails are never expanded into entries.  The
+    columns are read through _graded, which refuses a malformed one.
 
     Rows are visited once, in the given order.  The candidates at row
     (tag, d) are the pivotless columns with an explicit term there, found
@@ -167,9 +186,10 @@ def certified_eliminate(
     becomes a pivot and is subtracted from every other candidate: the
     pivot-row entry cancels exactly, the other explicit terms combine
     conservatively, each corner keeps the lower of the two tails, and
-    explicit terms that land inside a tail are absorbed by it.  A combined column is re-indexed under the rows
-    and tails it now has.  A row therefore costs time in its candidates and
-    the terms they combine, not in the number of columns.
+    explicit terms that land inside a tail are absorbed by it.  A combined
+    column is re-indexed under the rows and tails it now has.  A row
+    therefore costs time in its candidates and the terms they combine, not in
+    the number of columns.
     Already-pivoted columns are never touched again: their entries on later
     rows sit strictly below their own pivot row, so they cannot damage the
     lower-triangular pivot minor that witnesses the rank.
@@ -193,30 +213,11 @@ def certified_eliminate(
     for c in span:
         if c not in columns:
             raise ValueError(f"in-span column {c!r} not among the columns")
-    rows = set(row_order)
-    # each working column: explicit terms keyed by row, tail_from by corner
-    graded: dict[Any, tuple[dict[Any, Scalar], dict[Any, int]]] = {}
-    for c, parts in columns.items():
-        terms: dict[Any, Scalar] = {}
-        tails: dict[Any, int] = {}
-        for tag, series in parts.items():
-            for d, s in series.terms:
-                if (tag, d) not in rows:
-                    raise ValueError(f"explicit term at {(tag, d)!r} has no row")
-                if not (0 < s < p if type(s) is int else s in _SYMBOLS):
-                    raise ValueError(
-                        f"entry {s!r} at {(tag, d)!r} is neither a residue "
-                        f"in 1..{p - 1} nor a symbol"
-                    )
-                terms[(tag, d)] = s
-            if series.tail_from is not None:
-                tails[tag] = series.tail_from
-        if c not in span:
-            graded[c] = (terms, tails)
+    graded = _graded(columns, set(row_order), p)
     # working columns are keyed by their position in the order given, so the
     # first of them is the smallest int
-    order = list(graded)
-    work = list(graded.values())
+    order = [c for c in graded if c not in span]
+    work = [graded[c] for c in order]
 
     def entry(j: int, r: tuple[Any, int]) -> Scalar | None:
         """The entry of column j on a row that is not a pivot row."""
@@ -317,9 +318,7 @@ def certified_eliminate(
     )
 
 
-# corner tags; also the tie-break rank used when two rows share a degree
-TL, TR, BL, BR = "TL", "TR", "BL", "BR"
-_ROW_RANK = {TR: 0, BL: 1}
+TL, TR, BL, BR = "TL", "TR", "BL", "BR"  # corner tags
 
 
 @dataclass(frozen=True)
@@ -380,28 +379,28 @@ class CohomologyReport:
         return self.status == CERTIFIED
 
 
+def _square_columns(sq: SquareComplex) -> Iterator[tuple[dict, list]]:
+    """(columns, row order) of d0, then of d1, each built when it is asked
+    for; a column is keyed by the square's own (corner, index) pair: (TL, k)
+    in d0, (TR, k) then (BL, m) in d1.  d1(x, y) = v_right(x) - nabla_bot(y);
+    scaling a column by the unit -1 moves no pivot, kernel column or blocking
+    entry, so the sign is dropped."""
+    cols = {(TL, k): {TR: sq.nabla_top[k], BL: sq.v_left[k]} for k, _ in sq.tl}
+    # a stable sort by degree keeps a TR row before a BL row of equal degree
+    rows = [(TR, d) for _, d in sq.tr] + [(BL, d) for _, d in sq.bl]
+    yield cols, sorted(rows, key=itemgetter(1))
+    cols = {(TR, k): {BR: sq.v_right[k]} for k, _ in sq.tr}
+    cols.update(((BL, m), {BR: sq.nabla_bot[m]}) for m, _ in sq.bl)
+    yield cols, sorted((BR, d) for _, d in sq.br)
+
+
 def square_cohomology(sq: SquareComplex) -> CohomologyReport:
-    """Certified cohomology of the total complex of a square.
-
-    Each elimination column is keyed by the square's own (corner, index)
-    pair: (TL, k) in d0, and (TR, k) then (BL, m) in d1.
-    """
+    """Certified cohomology of the total complex of a square."""
     p = sq.p
-    cols0 = {(TL, k): {TR: sq.nabla_top[k], BL: sq.v_left[k]} for k, _ in sq.tl}
-    rows1 = sorted(
-        [(TR, d) for _, d in sq.tr] + [(BL, d) for _, d in sq.bl],
-        key=lambda rk: (rk[1], _ROW_RANK[rk[0]]),
-    )
-    elim0 = certified_eliminate(cols0, rows1, p)
-
-    # d1(x, y) = v_right(x) - nabla_bot(y); scaling a column by the unit -1
-    # moves no pivot, kernel column or blocking entry, so the sign is dropped
-    cols1 = {(TR, k): {BR: sq.v_right[k]} for k, _ in sq.tr}
-    for m, _ in sq.bl:
-        cols1[(BL, m)] = {BR: sq.nabla_bot[m]}
-    rows2 = sorted((BR, d) for _, d in sq.br)
+    matrices = _square_columns(sq)
+    elim0 = certified_eliminate(*next(matrices), p)
     elim1 = certified_eliminate(
-        cols1, rows2, p, in_span=[(BL, m) for m in sq.bl_in_span]
+        *next(matrices), p, in_span=[(BL, m) for m in sq.bl_in_span]
     )
 
     nt, ntr, nbl, nbr = sq.corner_sizes()
@@ -451,60 +450,56 @@ class TruncationCheck:
 def verify_truncation(sq: SquareComplex, cutoffs: WindowCutoffs) -> TruncationCheck:
     """Check that basis elements beyond the cutoffs cannot affect cohomology.
 
-    A square built with extra margin is compared against baseline cutoffs:
-    every beyond-cutoff column must land entirely beyond the partner cutoff,
-    and the horizontal (can minus frobenius) columns must keep their exact
-    unit leading term (strictly minimal, since a Series keeps its terms
-    sorted and below its tail) with consecutive leading degrees starting
-    right above the partner cutoff.  Together with the fact that
+    The columns are read as square_cohomology reads them: a malformed one
+    raises the same ValueError, naming its (corner, degree) row.  Every
+    beyond-cutoff column must land entirely beyond the partner cutoff, and
+    the horizontal (can minus frobenius) ones keep their exact unit leading
+    terms, on consecutive degrees from right above the partner cutoff.  As
     leading degrees grow linearly in the basis index while the margin is
-    arbitrary, this certifies that enlarging the window only adds columns
-    reducible against each other, so the reported dimensions are stable.
+    arbitrary, enlarging the window then only adds columns reducible against
+    each other, so the reported dimensions are stable.
     """
-    tr_degs = [d for _, d in sq.tr]
-    bl_degs = [d for _, d in sq.bl]
-    br_degs = [d for _, d in sq.br]
+    graded = {}
+    for cols, rows in _square_columns(sq):
+        graded.update(_graded(cols, set(rows), sq.p))
+    corners = {TR: sq.tr, BL: sq.bl, BR: sq.br}
+
+    def lowest(c: tuple[str, int], tag: str) -> int | None:
+        """The lowest degree of a row on tag where column c has an entry."""
+        terms, tails = graded[c]
+        for t, d in terms:  # ascending per corner, below any tail
+            if t == tag:
+                return d
+        start = tails.get(tag, inf)
+        return min((d for _, d in corners[tag] if d >= start), default=None)
 
     def fail(col: tuple[Any, ...], why: str) -> TruncationCheck:
         return TruncationCheck(False, col, why)
 
-    leads = []
-    for k, deg in sorted(sq.tl, key=lambda t: t[1]):
-        if deg <= cutoffs.tl:
-            continue
-        hseries = sq.v_left[k]
-        materialize(hseries, bl_degs)  # raises on a term with no row
-        if not hseries.terms or hseries.terms[0][1] != 1:
-            return fail((TL, k), "beyond column lost its exact unit leading term")
-        lead = hseries.terms[0][0]
-        if lead <= cutoffs.bl:
-            return fail((TL, k), "beyond column leads inside the baseline window")
-        leads.append(lead)
-        if any(d <= cutoffs.tr for d in materialize(sq.nabla_top[k], tr_degs)):
-            return fail((TL, k), "vertical image enters the baseline window")
-    if leads != list(range(cutoffs.bl + 1, cutoffs.bl + 1 + len(leads))):
-        return fail((TL,), "beyond leading degrees are not consecutive")
+    for corner, basis, cut, tag, partner in (  # horizontal: TL -> BL, TR -> BR
+        (TL, sq.tl, cutoffs.tl, BL, cutoffs.bl),
+        (TR, sq.tr, cutoffs.tr, BR, cutoffs.br),
+    ):
+        leads = []
+        for k, deg in sorted(basis, key=itemgetter(1)):
+            c = (corner, k)
+            lead = lowest(c, tag) if deg > cut else None
+            if deg <= cut or (lead is None and corner == TR):
+                continue  # a TR image wholly beyond the extended window is harmless
+            if lead is None or graded[c][0].get((tag, lead)) != 1:
+                return fail(c, "beyond column lost its exact unit leading term")
+            if lead <= partner:
+                return fail(c, "beyond column leads inside the baseline window")
+            leads.append(lead)
+        if leads != list(range(partner + 1, partner + 1 + len(leads))):
+            return fail((corner,), "beyond leading degrees are not consecutive")
 
-    leads = []
-    for k, deg in sorted(sq.tr, key=lambda t: t[1]):
-        if deg <= cutoffs.tr:
-            continue
-        hseries = sq.v_right[k]
-        entries = materialize(hseries, br_degs)  # raises on a term with no row
-        if not hseries.terms or hseries.terms[0][1] != 1:
-            if entries:
-                return fail((TR, k), "beyond column lost its exact unit leading term")
-            continue  # maps entirely beyond the extended window: harmless
-        lead = hseries.terms[0][0]
-        if lead <= cutoffs.br:
-            return fail((TR, k), "beyond column leads inside the baseline window")
-        leads.append(lead)
-    if leads != list(range(cutoffs.br + 1, cutoffs.br + 1 + len(leads))):
-        return fail((TR,), "beyond leading degrees are not consecutive")
-
-    for m, deg in sq.bl:
-        if deg <= cutoffs.bl:
-            continue
-        if any(d <= cutoffs.br for d in materialize(sq.nabla_bot[m], br_degs)):
-            return fail((BL, m), "image enters the baseline window")
+    for corner, basis, cut, tag, partner, why in (  # vertical: TL -> TR, BL -> BR
+        (TL, sq.tl, cutoffs.tl, TR, cutoffs.tr, "vertical image"),
+        (BL, sq.bl, cutoffs.bl, BR, cutoffs.br, "image"),
+    ):
+        for k, deg in basis:
+            lead = lowest((corner, k), tag) if deg > cut else None
+            if lead is not None and lead <= partner:
+                return fail((corner, k), f"{why} enters the baseline window")
     return TruncationCheck(True, None, "stable")

@@ -85,10 +85,17 @@ def verify_certificate(data: dict) -> VerifierReport:
     return VerifierReport(ok, tuple(checks), tuple(errors))
 
 
+def _int(fields: dict, key: str) -> int:
+    """fields[key], which must be an int: not a bool, float or string."""
+    if type(fields[key]) is not int:
+        raise TypeError(f"{key!r} is not an int: {fields[key]!r}")
+    return fields[key]
+
+
 def _check_certificate(data: dict, check) -> None:
     """Record every check of verify_certificate through check(name, ok,
     detail), which returns ok; raises on a missing or mistyped field."""
-    p, n = int(data["p"]), int(data["n"])
+    p, n = _int(data, "p"), _int(data, "n")
     steps = list(data["steps"])
     term = data["termination"]
 
@@ -99,45 +106,33 @@ def _check_certificate(data: dict, check) -> None:
     weight = p ** (n - 1) - p ** (n - 2)
     bound = n * weight
     target = p ** (n - 1)
-    check("weight", data.get("weight") == weight, "wrong weight")
-    check("truncation", data.get("truncation") == bound, "wrong truncation bound")
-    check("target", data.get("target_z_pow") == target, "wrong target power")
     check("nonempty_chain", len(steps) >= 1, "empty chain")
-    check(
-        "verified_flag", data.get("verified") is True, "producer did not verify"
-    )
 
-    prev_phi_z = None
-    prev_phi_f = None
-    prev_fdeg = -1
+    prev_phi_z, prev_phi_f, prev_fdeg = None, None, -1
     for idx, s in enumerate(steps):
-        j = s["j"]
+        j = _int(s, "j")
         tag = f"step_{idx}"
         check(f"{tag}_index", j == idx, f"step indices not consecutive at {idx}")
-        el, can, phi = s["element"], s["can_image"], s["phi_image"]
+        el, can, phi = (
+            {key: _int(m, key) for key in ("e_pow", "z_pow", "f_index")}
+            for m in (s["element"], s["can_image"], s["phi_image"])
+        )
         s_j = p ** (n - 2) - (n - 1 - j) * p**j
         check(f"{tag}_range", 0 <= j <= n - 2, f"step {j} outside chain range")
         check(
             f"{tag}_element",
-            el["e_pow"] == weight - p**j
-            and el["z_pow"] == s_j
-            and el["f_index"] == j
-            and el["z_pow"] >= 0
-            and el["e_pow"] >= 0,
+            el == {"e_pow": weight - p**j, "z_pow": s_j, "f_index": j}
+            and min(el["e_pow"], el["z_pow"]) >= 0,
             f"step {j}: element exponents are wrong",
         )
         check(
             f"{tag}_can",
-            can["e_pow"] == 0
-            and can["z_pow"] == el["e_pow"] + el["z_pow"]
-            and can["f_index"] == j,
+            can == {"e_pow": 0, "z_pow": el["e_pow"] + el["z_pow"], "f_index": j},
             f"step {j}: can image is wrong",
         )
         check(
             f"{tag}_phi",
-            phi["e_pow"] == 0
-            and phi["z_pow"] == p * el["z_pow"]
-            and phi["f_index"] == j + 1,
+            phi == {"e_pow": 0, "z_pow": p * el["z_pow"], "f_index": j + 1},
             f"step {j}: phi image is wrong",
         )
         check(
@@ -149,7 +144,7 @@ def _check_certificate(data: dict, check) -> None:
         fdeg_phi = phi["z_pow"] + n * p ** (j + 1)
         check(
             f"{tag}_degrees",
-            s["fdeg_can"] == fdeg_can and s["fdeg_phi"] == fdeg_phi,
+            (_int(s, "fdeg_can"), _int(s, "fdeg_phi")) == (fdeg_can, fdeg_phi),
             f"step {j}: filtration degrees are wrong",
         )
         check(
@@ -182,19 +177,23 @@ def _check_certificate(data: dict, check) -> None:
             )
         prev_phi_z, prev_phi_f, prev_fdeg = phi["z_pow"], phi["f_index"], fdeg_phi
 
-    if steps:
-        last = steps[-1]
-        last_fdeg = last["phi_image"]["z_pow"] + n * p ** (last["j"] + 1)
+    # the head after the chain, so that a malformed step is named first
+    check("kind", data.get("kind") == "vanishing-certificate", "wrong kind")
+    check("weight", _int(data, "weight") == weight, "wrong weight")
+    check("truncation", _int(data, "truncation") == bound, "wrong truncation bound")
+    check("target", _int(data, "target_z_pow") == target, "wrong target power")
+    check("verified_flag", data.get("verified") is True, "producer did not verify")
+    check("no_failures", data.get("failures") == [], "producer recorded failures")
+    if steps:  # j and prev_fdeg are the last step's index and phi degree
         check(
             "termination_rule",
-            last_fdeg >= bound,
+            prev_fdeg >= bound,
             "final remainder is below the truncation bound",
         )
+        record = (term.get("reason"), _int(term, "step"), _int(term, "fdeg"))
         check(
             "termination_record",
-            term.get("reason") == "HIGH_FILTRATION"
-            and term.get("step") == last["j"]
-            and term.get("fdeg") == last_fdeg,
+            record == ("HIGH_FILTRATION", j, prev_fdeg),
             "termination record does not match the chain",
         )
 
@@ -359,10 +358,11 @@ def sample_certificate(data: dict, samples: int = 100, seed: int = 0) -> SampleR
     drawn level by level from one Random(seed), and the first five samples
     of a truncation bound <= 24 are cross-checked by dense elimination on the
     recorded units.  ValueError is raised before any draw unless there is at
-    least one sample, p is prime and n >= 2: else all would pass vacuously."""
+    least one sample, p is prime and n >= 2: else all would pass vacuously.
+    A p or n that is not an int (a bool, float or string) raises TypeError."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    p, n = int(data["p"]), int(data["n"])
+    p, n = _int(data, "p"), _int(data, "n")
     if not _is_prime(p):
         raise ValueError(f"p={p} is not a prime below 2^64")
     if n < 2:

@@ -202,6 +202,7 @@ def _power(base: str, k: int) -> str:
         return ""
     return base if k == 1 else f"{base}^{k}"
 
+
 def _name(*parts: str) -> str:
     live = [s for s in parts if s]
     return "*".join(live) if live else "1"

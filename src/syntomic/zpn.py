@@ -167,7 +167,8 @@ def certify_vanishing(p: int, n: int) -> VanishingCertificate:
             if w.can_image != prev.phi_image:
                 failures.append(f"chain link broken between steps {j - 1} and {j}")
         # the monomial grading is a second route to the closed-form degrees
-        if w.fdeg_can != w.can_image.f_deg(p, n) or w.fdeg_phi != w.phi_image.f_deg(p, n):
+        degrees = (w.can_image.f_deg(p, n), w.phi_image.f_deg(p, n))
+        if (w.fdeg_can, w.fdeg_phi) != degrees:
             failures.append(f"step {j} filtration degree mismatch")
         if w.fdeg_phi <= w.fdeg_can:
             failures.append(f"step {j}: filtration does not strictly ascend")

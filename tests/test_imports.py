@@ -1,6 +1,6 @@
 """Import hygiene: the runtime needs only the standard library, every
 imported name is used, and the verifier shares no code with the producer it
-checks."""
+checks; also no source line is longer than 88 columns."""
 
 import ast
 import sys
@@ -39,6 +39,13 @@ def test_imports_are_stdlib_or_the_package(path):
 def test_modules_parse_as_python_3_10(path):
     # pyproject.toml declares requires-python >= 3.10
     ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
+def test_lines_are_at_most_88_columns(path):
+    lines = path.read_text().splitlines()
+    long = [(n, len(line)) for n, line in enumerate(lines, 1) if len(line) > 88]
+    assert long == [], long
 
 
 def test_verifier_imports_nothing_from_the_package():

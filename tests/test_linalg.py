@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -28,8 +29,9 @@ from syntomic.linalg import (
     scalar_mul,
     scalar_neg,
     square_cohomology,
+    verify_truncation,
 )
-from syntomic.zp import build_zp_square, mod_v1_square
+from syntomic.zp import build_zp_square, mod_v1_square, standard_cutoffs
 
 PRIMES = (2, 3, 5, 7)
 
@@ -149,13 +151,39 @@ def test_scalar_ops_hold_on_every_instantiation(p):
 
 
 def test_series_validation():
+    # a Series is plain data: each malformed one is refused where a column
+    # is read, with the same message by the eliminator and by both readers
+    # of a square (nabla_bot[1] of build_zp_square(3, 3, extra=2) has BR rows
+    # of degrees 1..5)
     p = 3
-    with pytest.raises(ValueError):
-        Series(terms=((2, known(1, p)), (1, known(1, p))))
-    with pytest.raises(ValueError):
-        Series(terms=((1, known(0, p)),))
-    with pytest.raises(ValueError):
-        Series(terms=((4, known(1, p)),), tail_from=4)
+    cases = [
+        (
+            Series(terms=((2, known(1, p)), (1, known(1, p)))),
+            "term at ('BR', 1) is not above the one before it",
+        ),
+        (
+            Series(terms=((1, known(1, p)), (1, known(1, p)))),
+            "term at ('BR', 1) is not above the one before it",
+        ),
+        (
+            Series(terms=((1, known(0, p)),)),
+            "entry 0 at ('BR', 1) is neither a residue in 1..2 nor a symbol",
+        ),
+        (
+            Series(terms=((4, known(1, p)),), tail_from=4),
+            "term at ('BR', 4) is not below its tail",
+        ),
+    ]
+    sq = build_zp_square(p, 3, extra=2)
+    for series, message in cases:
+        match = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=match):
+            certified_eliminate({"c": {"BR": series}}, _rows(1, 2, 4, tag="BR"), p)
+        bad = replace(sq, nabla_bot={**sq.nabla_bot, 1: series})
+        with pytest.raises(ValueError, match=match):
+            square_cohomology(bad)
+        with pytest.raises(ValueError, match=match):
+            verify_truncation(bad, standard_cutoffs(p, 3))
 
 
 def test_series_window_merges_and_cancels():

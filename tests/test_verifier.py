@@ -249,6 +249,60 @@ def test_malformed_step_is_a_failed_report(steps, missing):
     assert missing in report.errors[-1]
 
 
+def _set(path, value):
+    """Set the field at path (keys and list indices) of a certificate dict."""
+
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, error",
+    [
+        (_set(["p"], "3"), "malformed certificate: 'p' is not an int: '3'"),
+        (_set(["p"], 3.0), "malformed certificate: 'p' is not an int: 3.0"),
+        (_set(["n"], "4"), "malformed certificate: 'n' is not an int: '4'"),
+        (_set(["weight"], 18.0), "malformed certificate: 'weight' is not an int: 18.0"),
+        (
+            _set(["steps", 0, "fdeg_can"], 27.0),
+            "malformed certificate: 'fdeg_can' is not an int: 27.0",
+        ),
+        (
+            _set(["steps", 0, "element", "z_pow"], 6.0),
+            "malformed certificate: 'z_pow' is not an int: 6.0",
+        ),
+        (_set(["failures"], ["step 0 filtration degree mismatch"]),
+         "producer recorded failures"),
+        (_set(["kind"], "vanishing-certificate-v2"), "wrong kind"),
+    ],
+    ids=[
+        "p-str", "p-float", "n-str", "weight-float", "fdeg-float", "zpow-float",
+        "failures", "kind",
+    ],
+)
+def test_a_mistyped_or_inconsistent_certificate_is_a_failed_report(mutate, error):
+    # each of these equals the producer's certificate as a number or reads
+    # as verified, and each must still be refused
+    data = certify_vanishing(3, 4).to_dict()
+    assert verify_certificate(data).ok
+    mutate(data)
+    report = verify_certificate(data)
+    assert not report.ok
+    assert report.errors == (error,)
+
+
+@pytest.mark.parametrize("field, value", [("p", "3"), ("p", 3.0), ("n", "4")])
+def test_sampling_reads_p_and_n_as_ints(field, value):
+    data = certify_vanishing(3, 4).to_dict()
+    data[field] = value
+    with pytest.raises(TypeError, match=f"^'{field}' is not an int: "):
+        sample_certificate(data, samples=1)
+
+
 def test_malformed_termination_is_a_failed_report():
     data = certify_vanishing(2, 5).to_dict()
     data["termination"] = None

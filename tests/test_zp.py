@@ -20,6 +20,7 @@ from syntomic.linalg import (
     TR,
     Series,
     WindowCutoffs,
+    certified_eliminate,
     euler_characteristic,
     known,
     square_cohomology,
@@ -355,13 +356,91 @@ def test_truncation_rejects_a_beyond_term_with_no_row(field):
         verify_truncation(bad, standard_cutoffs(3, 3))
 
 
-def test_a_leading_term_that_is_not_minimal_cannot_be_built():
+def test_a_leading_term_that_is_not_minimal_is_refused_where_it_is_read():
     # verify_truncation reads the first explicit term as the leading one; a
-    # Series with a lower term after it, or a tail at or below it, is refused
-    with pytest.raises(ValueError):
-        Series(_unit_terms(6, 5))
-    with pytest.raises(ValueError):
-        Series(_unit_terms(5), tail_from=5)
+    # Series with a lower term after it, or a tail at or below it, is
+    # refused by the one column reader, alike for both readers of a square
+    sq = build_zp_square(3, 3, extra=2)
+    cases = [
+        (
+            Series(_unit_terms(6, 5)),
+            "term at ('BL', 5) is not above the one before it",
+        ),
+        (
+            Series(_unit_terms(5), tail_from=5),
+            "term at ('BL', 5) is not below its tail",
+        ),
+    ]
+    rows = [(BL, d) for d in range(7)]
+    for series, message in cases:
+        match = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=match):
+            certified_eliminate({(TL, 2): {BL: series}}, rows, 3)
+        bad = replace(sq, v_left={**sq.v_left, 2: series})
+        with pytest.raises(ValueError, match=match):
+            square_cohomology(bad)
+        with pytest.raises(ValueError, match=match):
+            verify_truncation(bad, standard_cutoffs(3, 3))
+
+
+@pytest.mark.parametrize(
+    "field, key, series, message",
+    [
+        ("nabla_bot", 4, Series(((4, 7),), 5),
+         "entry 7 at ('BR', 4) is neither a residue in 1..2 nor a symbol"),
+        ("v_left", 3, Series(((6, True),)),
+         "entry True at ('BL', 6) is neither a residue in 1..2 nor a symbol"),
+    ],
+    ids=["seven", "bool"],
+)
+def test_truncation_refuses_an_entry_that_square_cohomology_refuses(
+    field, key, series, message
+):
+    sq = build_zp_square(3, 3, extra=2)
+    bad = replace(sq, **{field: {**getattr(sq, field), key: series}})
+    match = f"^{re.escape(message)}$"
+    with pytest.raises(ValueError, match=match):
+        square_cohomology(bad)
+    with pytest.raises(ValueError, match=match):
+        verify_truncation(bad, standard_cutoffs(3, 3))
+
+
+def _malformed_squares(sq):
+    """Every copy of sq with one column broken: one explicit entry replaced
+    by 0, p, -1 or True, or a term put below the lowest row of its corner,
+    where no row is."""
+    lowest = {
+        tag: min((d for _, d in corner), default=0)
+        for tag, corner in ((TR, sq.tr), (BL, sq.bl), (BR, sq.br))
+    }
+    for field, tag in (
+        ("nabla_top", TR), ("v_left", BL), ("v_right", BR), ("nabla_bot", BR)
+    ):
+        columns = getattr(sq, field)
+        for key, s in columns.items():
+            broken = [Series(((lowest[tag] - 1, 1),) + s.terms, s.tail_from)]
+            for j, (d, _) in enumerate(s.terms):
+                for entry in (0, sq.p, -1, True):
+                    terms = s.terms[:j] + ((d, entry),) + s.terms[j + 1:]
+                    broken.append(Series(terms, s.tail_from))
+            for series in broken:
+                yield replace(sq, **{field: {**columns, key: series}})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_both_readers_of_a_square_refuse_a_malformed_column_alike(p):
+    cases = 0
+    for i in range(2 * p + 1):
+        cutoffs = standard_cutoffs(p, i)
+        for bad in _malformed_squares(build_zp_square(p, i, extra=2)):
+            with pytest.raises(ValueError) as refused:
+                square_cohomology(bad)
+            message = str(refused.value)
+            assert " at (" in message, message
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                verify_truncation(bad, cutoffs)
+            cases += 1
+    assert cases > 50 * p
 
 
 # ------------------------------------------------------ known identities
