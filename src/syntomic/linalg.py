@@ -33,53 +33,28 @@ _SYMBOLS = (UNIT_ENTRY, UNKNOWN_ENTRY)
 Scalar = int | str  # a residue or one of the two symbols
 
 
-def known(v: int, p: int) -> Scalar:
-    return v % p
-
-
-def is_known_zero(s: Scalar) -> bool:
-    return s == 0
-
-
 def certainly_nonzero(s: Scalar) -> bool:
     return s != 0 and s != UNKNOWN_ENTRY
 
 
-def scalar_add(a: Scalar, b: Scalar, p: int) -> Scalar:
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    if isinstance(a, int) and isinstance(b, int):
-        return (a + b) % p
-    # a sum involving a symbol is unknown: no relation between symbols may be
-    # assumed, including cancellation
-    return UNKNOWN_ENTRY
-
-
-def scalar_neg(a: Scalar, p: int) -> Scalar:
-    return -a % p if isinstance(a, int) else a
-
-
-def scalar_mul(a: Scalar, b: Scalar, p: int) -> Scalar:
-    if a == 0 or b == 0:
-        return 0
-    if isinstance(a, int) and isinstance(b, int):
-        return a * b % p
-    if certainly_nonzero(a) and certainly_nonzero(b):
-        return UNIT_ENTRY
-    return UNKNOWN_ENTRY
-
-
-def scalar_div(a: Scalar, b: Scalar, p: int) -> Scalar:
-    """a / b; b must be certainly nonzero."""
-    if not certainly_nonzero(b):
+def _ratio(e: Scalar, pval: Scalar, p: int) -> Scalar:
+    """The coefficient e / pval; pval must be certainly nonzero."""
+    if not certainly_nonzero(pval):
         raise ZeroDivisionError("division by a not-certainly-nonzero scalar")
-    if a == 0:
+    if e == 0 or type(e) is not int:
+        return e  # a symbol over a nonzero divisor stays the same kind of symbol
+    return e * pow(pval, -1, p) % p if type(pval) is int else UNIT_ENTRY
+
+
+def _minus_multiple(a: Scalar, c: Scalar, b: Scalar, p: int) -> Scalar:
+    """The entry a - c*b: exact on residues.  With a symbol involved it is
+    UNIT_ENTRY only when a = 0 and c and b are certainly nonzero, and
+    UNKNOWN_ENTRY otherwise, so no two symbols ever cancel."""
+    if c == 0 or b == 0:
         return a
-    if isinstance(a, int) and isinstance(b, int):
-        return a * pow(b, -1, p) % p
-    if certainly_nonzero(a):
+    if type(a) is int and type(c) is int and type(b) is int:
+        return (a - c * b) % p
+    if a == 0 and certainly_nonzero(c) and certainly_nonzero(b):
         return UNIT_ENTRY
     return UNKNOWN_ENTRY
 
@@ -278,7 +253,7 @@ def certified_eliminate(
         pterms, ptails = work[pivot_col]
         pval = pterms[r]
         for j in targets:
-            coef = scalar_div(entry(j, r), pval, p)
+            coef = _ratio(entry(j, r), pval, p)
             unindex(j)
             terms, tails = work[j]
             merged = dict(ptails)
@@ -288,10 +263,8 @@ def certified_eliminate(
             for rr in terms.keys() | pterms.keys():
                 if rr == r or _in_tail(merged, rr):
                     continue  # cancelled at the pivot row, or absorbed by a tail
-                lhs = terms.get(rr, 0)
-                sub = scalar_mul(coef, pterms.get(rr, 0), p)
-                nv = scalar_add(lhs, scalar_neg(sub, p), p)
-                if not is_known_zero(nv):
+                nv = _minus_multiple(terms.get(rr, 0), coef, pterms.get(rr, 0), p)
+                if nv != 0:
                     combined[rr] = nv
             work[j] = (combined, merged)
             index(j)

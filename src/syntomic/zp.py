@@ -36,7 +36,6 @@ from .linalg import (
     TL,
     TR,
     WindowCutoffs,
-    known,
     square_cohomology,
 )
 
@@ -67,7 +66,7 @@ def _square(p: int, i: int, window: WindowCutoffs) -> SquareComplex:
     tr = tuple((k, k + i - 1) for k in range(1, window.tr - i + 2))
     bl = tuple((m, m) for m in range(window.bl + 1))
     br = tuple((d, d) for d in range(1, window.br + 1))
-    one, minus_one, empty = known(1, p), known(-1, p), Series()
+    one, minus_one, empty = 1, p - 1, Series()
 
     def can_minus_phi(
         can: int, phi: int, top: int
@@ -117,7 +116,7 @@ def _square(p: int, i: int, window: WindowCutoffs) -> SquareComplex:
             nabla_bot[m] = empty
             continue
         nabla_bot[m] = Series(
-            ((m, known(m, p)),) if m % p and m <= window.br else (),
+            ((m, m % p),) if m % p and m <= window.br else (),
             m + 1 if m < window.br else None,
         )
         if m % p == 0:
@@ -262,13 +261,12 @@ def _witnesses(sq: SquareComplex, rep: CohomologyReport) -> set[tuple[str, int]]
     """The witness of every certified class of sq: the d0 kernel columns
     (h0), the d1 kernel columns whose own TR/BL row no d0 pivot hits (h1),
     and the BR rows no d1 pivot hits (h2)."""
-    i = sq.weight
     boundary = {r for r, _ in rep.d0.pivots}
     hit = {d for (_, d), _ in rep.d1.pivots}
+    degree = {TR: dict(sq.tr), BL: dict(sq.bl)}  # index -> degree per corner
     out = set(rep.d0.kernel_columns)
     for corner, k in rep.d1.kernel_columns:
-        # TR class k sits in degree k+i-1, BL class m in degree m
-        if ((TR, k + i - 1) if corner == TR else (BL, k)) not in boundary:
+        if (corner, degree[corner][k]) not in boundary:
             out.add((corner, k))
     out.update((BR, d) for _, d in sq.br if d not in hit)
     return out

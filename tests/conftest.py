@@ -5,11 +5,14 @@ dimension oracle is the closed-form weight pattern, and ranks of sampled
 instantiations are computed by plain dense Gaussian elimination over F_p.
 The engine is only trusted to hand over its symbolic column data.  The one
 symbolic oracle, reference_eliminate, runs the engine's pivot rule on dict
-columns with every tail expanded into per-row unknowns; it shares only the
-scalar algebra with the engine.  reference_greedy_membership is the greedy
-peel in lowest-degree order, a scan for the lowest residual term on every
-clear; the verifier peels level by level instead, and on instantiated
-systems the two must agree exactly while sharing no code.
+columns with every tail expanded into per-row unknowns; it shares none of
+the engine's scalar algebra: known, is_known_zero, certainly_nonzero and the
+four scalar_* operations below are the reference algebra, used by
+reference_eliminate, series_window and materialized_column.
+reference_greedy_membership is the greedy peel in lowest-degree order, a
+scan for the lowest residual term on every clear; the verifier peels level
+by level instead, and on instantiated systems the two must agree exactly
+while sharing no code.
 reference_instantiate_units draws the verifier's unit series through
 random.Random.randrange, and seventh_peel_fails makes one sampled peel
 fail.  reference_table_json is the K-table document through json.dumps,
@@ -35,17 +38,69 @@ from syntomic.linalg import (
     Series,
     SquareComplex,
     WindowCutoffs,
-    certainly_nonzero,
-    is_known_zero,
-    known,
     materialize,
-    scalar_add,
-    scalar_div,
-    scalar_mul,
-    scalar_neg,
 )
 
 ACCEPTANCE_LINES = []
+
+
+# ------------------------------------------------- reference scalar algebra
+#
+# The three-valued algebra of residues, UNIT_ENTRY and UNKNOWN_ENTRY as four
+# separate operations.  The engine combines entries through its own two
+# private functions (linalg._ratio and linalg._minus_multiple); the reference
+# eliminator and the reference square builder use these instead.
+
+
+def known(v: int, p: int) -> Scalar:
+    return v % p
+
+
+def is_known_zero(s: Scalar) -> bool:
+    return s == 0
+
+
+def certainly_nonzero(s: Scalar) -> bool:
+    return s != 0 and s != UNKNOWN_ENTRY
+
+
+def scalar_add(a: Scalar, b: Scalar, p: int) -> Scalar:
+    if a == 0:
+        return b
+    if b == 0:
+        return a
+    if isinstance(a, int) and isinstance(b, int):
+        return (a + b) % p
+    # a sum involving a symbol is unknown: no relation between symbols may be
+    # assumed, including cancellation
+    return UNKNOWN_ENTRY
+
+
+def scalar_neg(a: Scalar, p: int) -> Scalar:
+    return -a % p if isinstance(a, int) else a
+
+
+def scalar_mul(a: Scalar, b: Scalar, p: int) -> Scalar:
+    if a == 0 or b == 0:
+        return 0
+    if isinstance(a, int) and isinstance(b, int):
+        return a * b % p
+    if certainly_nonzero(a) and certainly_nonzero(b):
+        return UNIT_ENTRY
+    return UNKNOWN_ENTRY
+
+
+def scalar_div(a: Scalar, b: Scalar, p: int) -> Scalar:
+    """a / b; b must be certainly nonzero."""
+    if not certainly_nonzero(b):
+        raise ZeroDivisionError("division by a not-certainly-nonzero scalar")
+    if a == 0:
+        return a
+    if isinstance(a, int) and isinstance(b, int):
+        return a * pow(b, -1, p) % p
+    if certainly_nonzero(a):
+        return UNIT_ENTRY
+    return UNKNOWN_ENTRY
 
 
 @pytest.fixture

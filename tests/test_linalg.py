@@ -7,11 +7,18 @@ import pytest
 
 from conftest import (
     fp_rank,
+    is_known_zero,
+    known,
     materialized_column,
     reference_eliminate,
     reference_square_eliminations,
+    scalar_add,
+    scalar_div,
+    scalar_mul,
+    scalar_neg,
     series_window,
 )
+from conftest import certainly_nonzero as reference_nonzero
 from syntomic.linalg import (
     CERTIFIED,
     INDETERMINATE,
@@ -19,15 +26,11 @@ from syntomic.linalg import (
     UNKNOWN_ENTRY,
     Series,
     SquareComplex,
+    _minus_multiple,
+    _ratio,
     certainly_nonzero,
     certified_eliminate,
-    is_known_zero,
-    known,
     materialize,
-    scalar_add,
-    scalar_div,
-    scalar_mul,
-    scalar_neg,
     square_cohomology,
     verify_truncation,
 )
@@ -37,6 +40,10 @@ PRIMES = (2, 3, 5, 7)
 
 
 # ---------------------------------------------------------------- scalars
+#
+# The four scalar operations are conftest's reference algebra; the engine
+# combines entries through linalg._ratio and linalg._minus_multiple, checked
+# against that algebra and against every instantiation below.
 
 
 def test_known_arithmetic_is_exact():
@@ -124,7 +131,7 @@ def test_scalar_ops_hold_on_every_instantiation(p):
     for a in entries:
         xs = _meanings(a, p)
         assert is_known_zero(a) == (set(xs) == {0}), a
-        assert certainly_nonzero(a) == (0 not in xs), a
+        assert certainly_nonzero(a) == reference_nonzero(a) == (0 not in xs), a
         neg = scalar_neg(a, p)
         assert _sound(neg, [-x % p for x in xs], p), (a, neg)
         for b in entries:
@@ -145,6 +152,37 @@ def test_scalar_ops_hold_on_every_instantiation(p):
                 assert neg == -a % p
                 if b:
                     assert div == a * pow(b, -1, p) % p
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_minus_multiple_of_a_ratio_is_the_reference_composition(p):
+    # every (a, e, pval, b) with pval certainly nonzero: the engine's
+    # a - (e / pval) * b equals the reference algebra's and holds on every
+    # instantiation, each symbol drawn on its own
+    entries = [*range(p), UNIT_ENTRY, UNKNOWN_ENTRY]
+    for a, e, pval, b in itertools.product(entries, repeat=4):
+        if not reference_nonzero(pval):
+            continue
+        got = _minus_multiple(a, _ratio(e, pval, p), b, p)
+        coef = scalar_div(e, pval, p)
+        want = scalar_add(a, scalar_neg(scalar_mul(coef, b, p), p), p)
+        assert got == want, (a, e, pval, b, got, want)
+        ratios = {
+            y * pow(z, -1, p) % p
+            for y in _meanings(e, p)
+            for z in _meanings(pval, p)
+        }
+        products = {q * w % p for q in ratios for w in _meanings(b, p)}
+        values = [(x - m) % p for x in _meanings(a, p) for m in products]
+        assert _sound(got, values, p), (a, e, pval, b, got)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_ratio_refuses_a_divisor_that_may_vanish(p):
+    for e in [*range(p), UNIT_ENTRY, UNKNOWN_ENTRY]:
+        for pval in (0, UNKNOWN_ENTRY):
+            with pytest.raises(ZeroDivisionError):
+                _ratio(e, pval, p)
 
 
 # ----------------------------------------------------------------- series

@@ -1,0 +1,29 @@
+"""Drift check of the mutant catalogue (tests/mutants.py): every mutant still
+applies to the code as it is, and every killer names a test that exists.
+`python tests/mutants.py` runs the catalogue itself."""
+
+import re
+
+import pytest
+
+from mutants import MUTANTS, ROOT
+
+
+def test_mutant_ids_are_distinct():
+    assert len({m.ident for m in MUTANTS}) == len(MUTANTS)
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.ident)
+def test_each_old_snippet_occurs_exactly_once(mutant):
+    text = (ROOT / "src" / "syntomic" / mutant.file).read_text()
+    assert text.count(mutant.old) == 1
+    assert mutant.new != mutant.old
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.ident)
+def test_each_killer_is_a_test_of_the_suite(mutant):
+    assert mutant.killers
+    for killer in mutant.killers:
+        path, name = killer.split("::")
+        text = (ROOT / path).read_text()
+        assert re.search(rf"^def {name}\(", text, re.MULTILINE), killer

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     closed_form_dims,
+    known,
     known_square_identity_holds,
     mod_v1_expected_dims,
     reference_square,
@@ -22,7 +23,6 @@ from syntomic.linalg import (
     WindowCutoffs,
     certified_eliminate,
     euler_characteristic,
-    known,
     square_cohomology,
     verify_truncation,
 )
