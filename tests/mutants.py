@@ -1,15 +1,16 @@
 """The mutant catalogue: each entry breaks one check of src/syntomic, and
 every test named as its killer must then fail.
 
-    python tests/mutants.py          # run the whole catalogue
-    python tests/mutants.py ID ...   # run the named mutants only
+    python tests/mutants.py
 
-For each mutant the harness copies src/, tests/ and pyproject.toml into a
-temporary directory, replaces the mutant's old snippet by its new one there,
-and runs `python -m pytest -x -q <killer>` in that copy, one subprocess per
-killer and one at a time.  A killer that passes lets the mutant survive; the
-run prints every verdict and exits 1 if any mutant survived.  Standard
-library only.
+The harness copies src/, tests/ and pyproject.toml into a temporary
+directory and runs `python -m pytest -x -q <killer>` there, one subprocess
+per killer and one at a time.  It first runs every killer on an unmutated
+copy and exits 2 if one fails there, since such a killer would count every
+mutant it guards as killed.  Then, for each mutant, it replaces the old
+snippet by the new one in a fresh copy and runs the mutant's killers.  A
+killer that passes lets the mutant survive; the run prints every verdict
+and exits 1 if any mutant survived.  Standard library only.
 
 The tier-1 suite runs only the drift check in tests/test_mutants.py: each
 old snippet occurs exactly once in its file, and each killer names a test
@@ -46,6 +47,7 @@ RULE = _LINALG + "test_minus_multiple_of_a_ratio_is_the_reference_composition"
 REFERENCE = _LINALG + "test_random_graded_matrices_match_the_reference"
 WIDE_REFERENCE = _LINALG + "test_wide_random_graded_matrices_match_the_reference"
 DENSE = _LINALG + "test_certified_rank_matches_dense_rank_on_known_matrices"
+CUT_WINDOW = "tests/test_zp.py::test_a_window_cut_by_one_is_refused_or_changes_nothing"
 
 MUTANTS = (
     Mutant(
@@ -83,16 +85,25 @@ MUTANTS = (
         "merged[tag] = max(start, merged.get(tag, start))",
         (ORACLE, REFERENCE, WIDE_REFERENCE),
     ),
+    Mutant(
+        "witness-check-skipped",
+        "zp.py",
+        "    if named != found or len(names) != sum(rep.dims):\n",
+        "    if False:\n",
+        (CUT_WINDOW,),
+    ),
 )
 
 
-def mutated_copy(mutant: Mutant, dest: Path) -> None:
+def tree_copy(dest: Path, mutant: Mutant | None = None) -> None:
     """src/, tests/ and pyproject.toml under dest, with the mutant applied."""
     for name in ("src", "tests"):
         shutil.copytree(
             ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__")
         )
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    if mutant is None:
+        return
     target = dest / "src" / "syntomic" / mutant.file
     text = target.read_text()
     if text.count(mutant.old) != 1:
@@ -100,8 +111,8 @@ def mutated_copy(mutant: Mutant, dest: Path) -> None:
     target.write_text(text.replace(mutant.old, mutant.new))
 
 
-def killed_by(mutant: Mutant, killer: str, copy: Path) -> bool:
-    """Whether the killer fails on the mutated copy."""
+def fails(killer: str, copy: Path) -> bool:
+    """Whether the killer fails on the copy."""
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", killer],
         cwd=copy,
@@ -110,32 +121,35 @@ def killed_by(mutant: Mutant, killer: str, copy: Path) -> bool:
         stderr=subprocess.DEVNULL,
     )
     if run.returncode not in (0, 1):  # 2+: interrupted, usage or collection error
-        raise RuntimeError(f"{mutant.ident}: pytest exited {run.returncode}")
+        raise RuntimeError(f"{killer}: pytest exited {run.returncode}")
     return run.returncode == 1
 
 
-def main(idents: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not idents or m.ident in idents]
-    unknown = set(idents) - {m.ident for m in MUTANTS}
-    if unknown:
-        print(f"no such mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
+def main() -> int:
+    killers = sorted({k for m in MUTANTS for k in m.killers})
+    with tempfile.TemporaryDirectory(prefix="syntomic-unmutated-") as tmp:
+        tree_copy(Path(tmp))
+        failing = [k for k in killers if fails(k, Path(tmp))]
+    if failing:  # such a killer would report every mutant it guards as killed
+        for killer in failing:
+            print(f"fails without a mutant: {killer}", file=sys.stderr)
         return 2
     survivors = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         with tempfile.TemporaryDirectory(prefix="syntomic-mutant-") as tmp:
             copy = Path(tmp)
-            mutated_copy(mutant, copy)
+            tree_copy(copy, mutant)
             for killer in mutant.killers:
                 start = time.perf_counter()
-                killed = killed_by(mutant, killer, copy)
+                killed = fails(killer, copy)
                 verdict = "killed" if killed else "SURVIVED"
                 took = time.perf_counter() - start
                 print(f"{mutant.ident}: {verdict} by {killer} ({took:.1f} s)")
                 if not killed:
                     survivors.append((mutant.ident, killer))
-    print(f"{len(chosen)} mutants, {len(survivors)} survivals")
+    print(f"{len(MUTANTS)} mutants, {len(survivors)} survivals")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -304,6 +304,28 @@ def test_truncation_check_pinpoints_bott_column():
     assert not chk
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_a_window_cut_by_one_is_refused_or_changes_nothing(p, monkeypatch):
+    # one corner top one below the standard window either fails the witness
+    # check or the in-span guard, or (the TR or BR top, below weight p) gives
+    # the same report; it never gives different numbers
+    for i in range(1, 20 * p):
+        honest = zp_cohomology(p, i)
+        c = standard_cutoffs(p, i)
+        for corner in ("tl", "tr", "bl", "br"):
+            cut = replace(c, **{corner: getattr(c, corner) - 1})
+            with monkeypatch.context() as m:
+                m.setattr(zp, "standard_cutoffs", lambda *_: cut)
+                try:
+                    rep = zp_cohomology(p, i)
+                except ArithmeticError:
+                    continue
+            assert corner in ("tr", "br") and i <= p - 1, (i, corner)
+            assert (rep.status, rep.dims, rep.generators) == (
+                honest.status, honest.dims, honest.generators
+            ), (i, corner)
+
+
 def _unit_terms(*degrees):
     return tuple((d, known(1, 3)) for d in degrees)
 
