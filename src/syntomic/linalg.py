@@ -109,25 +109,31 @@ def _in_tail(tails: dict[Any, int], r: tuple[Any, int]) -> bool:
     return r[0] in tails and r[1] >= tails[r[0]]
 
 
-def _graded(columns: dict[Any, dict[Any, Series]], rows: set, p: int) -> dict:
+def _graded(
+    columns: dict[Any, dict[Any, Series]], row_order: Iterable[tuple[Any, int]], p: int
+) -> dict:
     """The one reader of graded columns: each column as its explicit entries
     by (tag, degree) row, in degree order per corner, and its tail_from by
-    corner.  Raises ValueError at the first term not above the one before
-    it, not below its tail, on no row, or with an entry neither in
-    range(1, p) nor a symbol."""
+    corner.  The entries are keyed by the row objects of row_order, so no
+    column allocates a row of its own.  Raises ValueError at the first term
+    not above the one before it, not below its tail, on no row, or with an
+    entry neither in range(1, p) nor a symbol."""
+    rows = {r: r for r in row_order}
     graded = {}
     for c, parts in columns.items():
         terms, tails = graded[c] = {}, {}
         for tag, series in parts.items():
-            tail, prev = series.tail_from, None
+            tail, prev = series.tail_from, -inf
             for d, s in series.terms:
-                r = (tag, d)
-                if prev is not None and d <= prev:
-                    raise ValueError(f"term at {r!r} is not above the one before it")
+                if d <= prev:
+                    raise ValueError(
+                        f"term at {(tag, d)!r} is not above the one before it"
+                    )
                 if tail is not None and d >= tail:
-                    raise ValueError(f"term at {r!r} is not below its tail")
-                if r not in rows:
-                    raise ValueError(f"explicit term at {r!r} has no row")
+                    raise ValueError(f"term at {(tag, d)!r} is not below its tail")
+                r = rows.get((tag, d))
+                if r is None:
+                    raise ValueError(f"explicit term at {(tag, d)!r} has no row")
                 if not (0 < s < p if type(s) is int else s in _SYMBOLS):
                     raise ValueError(
                         f"entry {s!r} at {r!r} is neither a residue in 1..{p - 1} "
@@ -162,9 +168,12 @@ def certified_eliminate(
     pivot-row entry cancels exactly, the other explicit terms combine
     conservatively, each corner keeps the lower of the two tails, and
     explicit terms that land inside a tail are absorbed by it.  A combined
-    column is re-indexed under the rows and tails it now has.  A row
-    therefore costs time in its candidates and the terms they combine, not in
-    the number of columns.
+    column is re-indexed under the rows and tails it now has.  A pivot column
+    is not unindexed: it stays listed under its rows and in its tail lists,
+    the pivot search and the targets skip it, and it leaves a tail list only
+    when the prefix of a later pivot row reaches it.  A row therefore costs
+    time in its candidates and the terms they combine, not in the number of
+    columns, and a square whose pivots combine nothing pays no index upkeep.
     Already-pivoted columns are never touched again: their entries on later
     rows sit strictly below their own pivot row, so they cannot damage the
     lower-triangular pivot minor that witnesses the rank.
@@ -182,13 +191,17 @@ def certified_eliminate(
     The result is CERTIFIED when no pivotless column keeps an explicit term
     or a tail on a row that is not a pivot row, which forces both the rank
     and the kernel dimension for every consistent assignment of the symbolic
-    entries.
+    entries.  Each pivotless column is tested once, on its own terms and
+    tails: it blocks if an explicit term sits on a free row or a tail starts
+    at or below the highest free degree of its corner, and joins the kernel
+    otherwise.  Only the first blocking column is scanned, in row order, for
+    the free row that blocks it.
     """
     span = dict.fromkeys(in_span)
     for c in span:
         if c not in columns:
             raise ValueError(f"in-span column {c!r} not among the columns")
-    graded = _graded(columns, set(row_order), p)
+    graded = _graded(columns, row_order, p)
     # working columns are keyed by their position in the order given, so the
     # first of them is the smallest int
     order = [c for c in graded if c not in span]
@@ -200,17 +213,18 @@ def certified_eliminate(
         e = terms.get(r)
         return UNKNOWN_ENTRY if e is None and _in_tail(tails, r) else e
 
-    # the pivotless columns by row of an explicit term, and by corner as
-    # sorted (tail_from, column) pairs
+    # the columns by row of an explicit term, and by corner as sorted
+    # (tail_from, column) pairs; a pivot column stays listed and is skipped
     at_row: dict[Any, list[int]] = {}
     tail_index: dict[Any, list[tuple[int, int]]] = {}
 
-    def index(j: int, put=insort) -> None:
+    def index(j: int) -> None:
+        """List a combined column under its new rows and tails."""
         terms, tails = work[j]
         for r in terms:
             at_row.setdefault(r, []).append(j)
         for tag, start in tails.items():
-            put(tail_index.setdefault(tag, []), (start, j))
+            insort(tail_index.setdefault(tag, []), (start, j))
 
     def unindex(j: int) -> None:
         terms, tails = work[j]
@@ -221,8 +235,11 @@ def certified_eliminate(
             del tail_list[bisect_left(tail_list, (start, j))]
 
     # the first pass appends in column order and sorts each tail list once
-    for j in range(len(order)):
-        index(j, list.append)
+    for j, (terms, tails) in enumerate(work):
+        for r in terms:
+            at_row.setdefault(r, []).append(j)
+        for tag, start in tails.items():
+            tail_index.setdefault(tag, []).append((start, j))
     for tail_list in tail_index.values():
         tail_list.sort()
     after_last = len(order)  # above every column position
@@ -232,8 +249,11 @@ def certified_eliminate(
         here = at_row.get(r)
         if not here:
             continue
-        pivot_col = None
+        pivot_col, targets = None, []
         for j in here:  # a tail entry is never certainly nonzero
+            if j in pivoted:
+                continue
+            targets.append(j)
             if (pivot_col is None or j < pivot_col) and certainly_nonzero(
                 work[j][0][r]
             ):
@@ -242,14 +262,17 @@ def certified_eliminate(
             continue
         pivots.append((r, order[pivot_col]))
         pivoted.add(pivot_col)
-        unindex(pivot_col)
-        # reduce every column with an entry on r: an explicit term, or else
-        # (explicit terms sit below a tail) a tail from r[1] or lower
-        targets = list(here)
+        targets.remove(pivot_col)
+        # reduce every pivotless column with an entry on r: an explicit term,
+        # or else (explicit terms sit below a tail) a tail from r[1] or lower;
+        # the pivoted columns in that tail prefix leave the tail list here
         tail_list = tail_index.get(r[0])
-        if tail_list:
-            in_tail = tail_list[: bisect_right(tail_list, (r[1], after_last))]
-            targets += [j for _, j in in_tail]
+        if tail_list and tail_list[0][0] <= r[1]:
+            end = bisect_right(tail_list, (r[1], after_last))
+            in_tail = [t for t in tail_list[:end] if t[1] not in pivoted]
+            tail_list[:end] = in_tail
+            if in_tail:
+                targets += [j for _, j in in_tail]
         pterms, ptails = work[pivot_col]
         pval = pterms[r]
         for j in targets:
@@ -268,16 +291,25 @@ def certified_eliminate(
                     combined[rr] = nv
             work[j] = (combined, merged)
             index(j)
-    live = [j for j in range(len(order)) if j not in pivoted]
     pivot_rows = {r for r, _ in pivots}
-    free_rows = [r for r in row_order if r not in pivot_rows]
+    top_free: dict[Any, int] = {}  # the highest degree of a free row by corner
+    for r in row_order:
+        if r not in pivot_rows and r[1] > top_free.get(r[0], -inf):
+            top_free[r[0]] = r[1]
     blocking = None
     kernel = []
-    for j in live:
-        first = next((r for r in free_rows if entry(j, r) is not None), None)
-        if first is None:
+    for j in range(len(order)):
+        if j in pivoted:
+            continue
+        terms, tails = work[j]
+        if not any(r not in pivot_rows for r in terms) and not any(
+            start <= top_free.get(tag, -inf) for tag, start in tails.items()
+        ):
             kernel.append(order[j])
         elif blocking is None:
+            first = next(
+                r for r in row_order if r not in pivot_rows and entry(j, r) is not None
+            )
             blocking = (order[j], first)
     status = CERTIFIED if blocking is None else INDETERMINATE
     kernel.extend(span)
@@ -434,7 +466,7 @@ def verify_truncation(sq: SquareComplex, cutoffs: WindowCutoffs) -> TruncationCh
     """
     graded = {}
     for cols, rows in _square_columns(sq):
-        graded.update(_graded(cols, set(rows), sq.p))
+        graded.update(_graded(cols, rows, sq.p))
     corners = {TR: sq.tr, BL: sq.bl, BR: sq.br}
 
     def lowest(c: tuple[str, int], tag: str) -> int | None:

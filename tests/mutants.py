@@ -48,6 +48,11 @@ REFERENCE = _LINALG + "test_random_graded_matrices_match_the_reference"
 WIDE_REFERENCE = _LINALG + "test_wide_random_graded_matrices_match_the_reference"
 DENSE = _LINALG + "test_certified_rank_matches_dense_rank_on_known_matrices"
 CUT_WINDOW = "tests/test_zp.py::test_a_window_cut_by_one_is_refused_or_changes_nothing"
+PIVOTS_ONCE = _LINALG + "test_a_pivot_column_stays_listed_and_never_pivots_again"
+TAIL_AT_TOP = _LINALG + "test_a_tail_from_the_highest_free_degree_blocks"
+NOT_COMBINED = (
+    _LINALG + "test_a_pivot_column_reached_by_a_later_tail_prefix_is_not_combined"
+)
 
 MUTANTS = (
     Mutant(
@@ -84,6 +89,27 @@ MUTANTS = (
         "merged[tag] = min(start, merged.get(tag, start))",
         "merged[tag] = max(start, merged.get(tag, start))",
         (ORACLE, REFERENCE, WIDE_REFERENCE),
+    ),
+    Mutant(
+        "pivot-scan-takes-pivoted",
+        "linalg.py",
+        "            if j in pivoted:\n                continue\n            targets.append(j)\n",
+        "            targets.append(j)\n",
+        (PIVOTS_ONCE, REFERENCE, WIDE_REFERENCE),
+    ),
+    Mutant(
+        "kernel-tail-test-strict",
+        "linalg.py",
+        "start <= top_free.get(tag, -inf)",
+        "start < top_free.get(tag, -inf)",
+        (TAIL_AT_TOP, ORACLE, REFERENCE),
+    ),
+    Mutant(
+        "tail-prune-keeps-pivoted",
+        "linalg.py",
+        "in_tail = [t for t in tail_list[:end] if t[1] not in pivoted]",
+        "in_tail = tail_list[:end]",
+        (NOT_COMBINED,),
     ),
     Mutant(
         "witness-check-skipped",

@@ -19,6 +19,7 @@ from conftest import (
     series_window,
 )
 from conftest import certainly_nonzero as reference_nonzero
+from syntomic import linalg
 from syntomic.linalg import (
     CERTIFIED,
     INDETERMINATE,
@@ -453,6 +454,71 @@ def test_tail_inherited_from_the_pivot_column_blocks_at_its_first_free_row():
     assert res.blocking == (1, ("R", 3))
 
 
+def _as_reference(cols, rows, p, span=()):
+    """The engine's result, after checking every field against the reference
+    eliminator on the same columns with their tails expanded."""
+    res = certified_eliminate(cols, rows, p, in_span=span)
+    flat = {c: materialized_column(parts, rows, p) for c, parts in cols.items()}
+    assert _fields(res) == _fields(reference_eliminate(flat, rows, p, span))
+    return res
+
+
+# A pivotless column is tested once, on its own terms and tails: a tail blocks
+# when it starts at or below the highest free degree of its corner.  Row 4 is
+# a pivot row above every free row, so the highest free degree is 3.
+
+
+def test_a_tail_from_the_highest_free_degree_blocks():
+    cols = {0: _col((1, 1)), 1: _col((4, 1)), "z": _col(tail=3)}
+    res = _as_reference(cols, _rows(0, 1, 2, 3, 4), 5)
+    assert res.status == INDETERMINATE and res.rank == 2
+    assert res.blocking == ("z", ("R", 3))
+
+
+def test_a_tail_from_above_the_highest_free_degree_joins_the_kernel():
+    # the tail now meets only the pivot row 4, where it is reduced to zero
+    cols = {0: _col((1, 1)), 1: _col((4, 1)), "z": _col(tail=4)}
+    res = _as_reference(cols, _rows(0, 1, 2, 3, 4), 5)
+    assert res.status == CERTIFIED and res.rank == 2
+    assert res.kernel_columns == ("z",)
+
+
+def test_the_blocking_row_is_the_first_free_row_in_the_order_given():
+    # column z holds an unknown on the free row 1 and a tail from 5; row 5
+    # is listed first, so z blocks there and not at its explicit term
+    cols = {0: _col((2, 1)), "z": _col((1, UNKNOWN_ENTRY), tail=5)}
+    res = _as_reference(cols, [("R", 5), ("R", 2), ("R", 1)], 5)
+    assert res.pivots == ((("R", 2), 0),)
+    assert res.blocking == ("z", ("R", 5))
+
+
+def test_a_pivot_column_stays_listed_and_never_pivots_again():
+    # column 0 keeps its unit on row 2 after pivoting on row 1; the pivot on
+    # row 2 is column 1, which is not reduced against column 0
+    cols = {0: _col((1, 1), (2, 1)), 1: _col((2, 1))}
+    res = _as_reference(cols, _rows(1, 2), 5)
+    assert res.pivots == ((("R", 1), 0), (("R", 2), 1))
+    assert res.status == CERTIFIED and res.kernel_columns == ()
+
+
+def test_a_pivot_column_reached_by_a_later_tail_prefix_is_not_combined(
+    monkeypatch,
+):
+    # column 0's tail from 2 reaches the pivot row 2 of column 1 after column
+    # 0 has pivoted; it leaves the tail list there without being reduced
+    calls = []
+
+    def counted(e, pval, p):
+        calls.append(e)
+        return _ratio(e, pval, p)
+
+    monkeypatch.setattr(linalg, "_ratio", counted)
+    cols = {0: _col((1, UNIT_ENTRY), tail=2), 1: _col((2, UNIT_ENTRY))}
+    res = _as_reference(cols, _rows(1, 2, 3), 5)
+    assert res.pivots == ((("R", 1), 0), (("R", 2), 1))
+    assert calls == []
+
+
 def test_a_square_that_is_not_a_complex_is_refused():
     # d1 o d0 sends the top-left element to a unit at BR 1, so the two ranks
     # overcount: h1 = (0 + 1) - 1 - 1 = -1
@@ -645,8 +711,9 @@ def test_square_eliminations_match_the_reference(p):
     squares = [
         build_zp_square(p, i, extra) for i in range(3 * p + 1) for extra in (0, 1, 2)
     ] + [mod_v1_square(p, i) for i in range(2 * p + 2)]
-    # the benchmark's large squares, with thousands of rows
-    squares += [build_zp_square(p, i) for i in {2: (150, 300), 3: (300,)}.get(p, ())]
+    # all five large squares of the benchmark, with up to 1200 rows
+    large = {2: (150, 300), 3: (300, 600), 7: (600,)}
+    squares += [build_zp_square(p, i) for i in large.get(p, ())]
     for sq in squares:
         rep = square_cohomology(sq)
         ref0, ref1 = reference_square_eliminations(sq)
