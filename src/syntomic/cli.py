@@ -27,14 +27,10 @@ from .zp import zp_cohomology
 OUTPUT_DIR_ENV = "SYNTOMIC_OUTPUT_DIR"
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the contract here is 1
     def error(self, message: str):  # noqa: D401
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> _Parser:
@@ -49,7 +45,7 @@ def build_parser() -> _Parser:
         default="0..16",
         help="inclusive weight range a..b, or a single weight",
     )
-    zp_cmd.add_argument("--format", choices=("json", "csv", "md"), default="md")
+    zp_cmd.add_argument("--format", choices=_ZP_WRITERS, default="md")
     zp_cmd.add_argument("--output", default=None, help="output file (else stdout)")
     zp_cmd.set_defaults(run=cmd_zp)
 
@@ -68,7 +64,7 @@ def build_parser() -> _Parser:
     kt_cmd.add_argument("--p", type=int, required=True, help="prime")
     kt_cmd.add_argument("--n", type=int, required=True, help="power of p")
     kt_cmd.add_argument("--imax", type=int, required=True, help="largest weight i")
-    kt_cmd.add_argument("--format", choices=("json", "csv", "md"), default="md")
+    kt_cmd.add_argument("--format", choices=_KTABLE_WRITERS, default="md")
     kt_cmd.add_argument("--output", default=None, help="output file (else stdout)")
     kt_cmd.set_defaults(run=cmd_ktable)
     return parser
@@ -82,29 +78,24 @@ def _parse_weights(spec: str) -> tuple[int, int]:
         else:
             lo = hi = int(spec)
     except ValueError as exc:
-        raise UsageError(f"bad weight range {spec!r}") from exc
+        raise ValueError(f"bad weight range {spec!r}") from exc
     if lo < 0 or hi < lo:
-        raise UsageError(f"bad weight range {spec!r}")
+        raise ValueError(f"bad weight range {spec!r}")
     return lo, hi
 
 
-def _resolve_output(path: str | None) -> str | None:
-    if path is None:
-        return None
-    if os.path.isabs(path):
-        return path
-    return os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), path)
-
-
 def _emit(text: str, path: str | None) -> None:
+    """Write text to stdout, or to path under $SYNTOMIC_OUTPUT_DIR (an
+    absolute path is taken as it is)."""
     if path is None:
         sys.stdout.write(text)
         return
+    path = os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), path)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _zp_rows_json(p: int, rows: list[CohomologyReport]) -> str:
@@ -123,7 +114,7 @@ def _zp_rows_json(p: int, rows: list[CohomologyReport]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _zp_rows_csv(rows: list[CohomologyReport]) -> str:
+def _zp_rows_csv(p: int, rows: list[CohomologyReport]) -> str:
     out = ["weight,h0,h1,h2,status,generators"]
     for r in rows:
         gens = ";".join(c.name for c in r.generators)
@@ -147,22 +138,19 @@ def _zp_rows_md(p: int, rows: list[CohomologyReport]) -> str:
     return "\n".join(lines)
 
 
+_ZP_WRITERS = {"json": _zp_rows_json, "csv": _zp_rows_csv, "md": _zp_rows_md}
+
+
 def cmd_zp(args) -> int:
     lo, hi = _parse_weights(args.weights)
     rows = [zp_cohomology(args.p, i) for i in range(lo, hi + 1)]
-    if args.format == "json":
-        text = _zp_rows_json(args.p, rows)
-    elif args.format == "csv":
-        text = _zp_rows_csv(rows)
-    else:
-        text = _zp_rows_md(args.p, rows)
-    _emit(text, _resolve_output(args.output))
+    _emit(_ZP_WRITERS[args.format](args.p, rows), args.output)
     return 0 if all(r.status == CERTIFIED for r in rows) else 2
 
 
 def cmd_certify(args) -> int:
     if args.samples < 1:
-        raise UsageError("--samples must be at least 1")
+        raise ValueError("--samples must be at least 1")
     cert = zpn.certify_vanishing(args.p, args.n)
     data = cert.to_dict()
     report = verifier.verify_certificate(data)
@@ -176,7 +164,7 @@ def cmd_certify(args) -> int:
         "cross_checked": sample.cross_checked,
     }
     path = args.output or f"vanishing_p{args.p}_n{args.n}.json"
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", _resolve_output(path))
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", path)
     ok = cert.verified and report.ok and sample.ok
     summary = (
         f"p={args.p} n={args.n} steps={len(cert.steps)} "
@@ -187,15 +175,16 @@ def cmd_certify(args) -> int:
     return 0 if ok else 2
 
 
+# writer names, looked up in ktheory at each call, so that the call goes
+# through the module attribute (a rebinding there, a tracer's say, is seen)
+_KTABLE_WRITERS = {
+    "json": "table_to_json", "csv": "table_to_csv", "md": "table_to_markdown"
+}
+
+
 def cmd_ktable(args) -> int:
     table = ktheory.k_even_table(args.p, args.n, args.imax)
-    if args.format == "json":
-        text = ktheory.table_to_json(table)
-    elif args.format == "csv":
-        text = ktheory.table_to_csv(table)
-    else:
-        text = ktheory.table_to_markdown(table)
-    _emit(text, _resolve_output(args.output))
+    _emit(getattr(ktheory, _KTABLE_WRITERS[args.format])(table), args.output)
     return 0
 
 
@@ -204,7 +193,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except ArithmeticError as exc:  # an internal cross-check failed

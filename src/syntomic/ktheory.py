@@ -11,8 +11,6 @@ else is assumed.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -311,12 +309,7 @@ def table_to_json(table: KTable) -> str:
 
 
 def table_to_csv(table: KTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["i", "nonzero"])
-    for r in table.rows:
-        writer.writerow([r.i, int(r.nonzero)])
-    return buf.getvalue()
+    return "i,nonzero\n" + "".join(f"{r.i},{int(r.nonzero)}\n" for r in table.rows)
 
 
 def table_to_markdown(table: KTable) -> str:

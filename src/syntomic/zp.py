@@ -212,10 +212,7 @@ def h2_name(p: int, w: int) -> str | None:
     w = p + kap (p-1); None in every other weight, which has no H^2."""
     if w < p or (w - 1) % (p - 1):
         return None
-    kap = (w - p) // (p - 1)
-    if kap > 1:
-        return f"v1^{kap}*del*lambda1"
-    return "v1*del*lambda1" if kap else "del*lambda1"
+    return _name(_power("v1", (w - p) // (p - 1)), "del*lambda1")
 
 
 def _classes(p: int, i: int) -> list[tuple[int, NamedClass]]:

@@ -22,7 +22,7 @@ attempted (that rewrite has an unknown unit and a vanishing leading term).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .arith import Monomial, f_degree, require_prime
 
@@ -45,24 +45,14 @@ def nygaard_truncation_bound(n: int, i: int) -> int:
 
 
 @dataclass(frozen=True)
-class ExpMonomial:
-    """Raw exponents of E^e z^k f_idx, stored before any normal form."""
-
-    e_pow: int
-    z_pow: int
-    f_index: int
-
-    def f_deg(self, p: int, n: int) -> int:
-        m = Monomial(e_pow=self.e_pow, z_pow=self.z_pow, f_exp=((self.f_index, 1),))
-        return f_degree(m, p, n)
-
-
-@dataclass(frozen=True)
 class StepWitness:
+    """Step j: the element E^e z^s f_j, its can image z^k f_j and its phi
+    image z^k f_(j+1), each monomial with f_exp = ((u, 1),)."""
+
     j: int
-    element: ExpMonomial
-    can_image: ExpMonomial
-    phi_image: ExpMonomial
+    element: Monomial
+    can_image: Monomial
+    phi_image: Monomial
     phi_unit: str
     fdeg_can: int
     fdeg_phi: int
@@ -77,12 +67,12 @@ def telescoping_step(p: int, n: int, j: int) -> StepWitness:
     s_j = p ** (n - 2) - (n - 1 - j) * p**j
     if j < 0 or j > n - 2 or s_j < 0:
         raise ValueError(f"step j={j} is outside the valid chain range")
-    element = ExpMonomial(e_pow=i - p**j, z_pow=s_j, f_index=j)
+    element = Monomial(e_pow=i - p**j, z_pow=s_j, f_exp=((j, 1),))
     # can rewrites every E to z (E = z + p), exact mod p
-    can_image = ExpMonomial(e_pow=0, z_pow=element.e_pow + element.z_pow, f_index=j)
+    can_image = Monomial(z_pow=element.e_pow + element.z_pow, f_exp=((j, 1),))
     # phi sends z to z^p and f_j to lambda_j f_(j+1); the twist t^-i divides
     # by phi(E)^i, consuming phi(E)^(e_pow + p^j) = phi(E)^i exactly
-    phi_image = ExpMonomial(e_pow=0, z_pow=p * element.z_pow, f_index=j + 1)
+    phi_image = Monomial(z_pow=p * element.z_pow, f_exp=((j + 1, 1),))
     # closed forms: z weighs 1 and f_u weighs n p^u
     fdeg_can = can_image.z_pow + n * p**j
     fdeg_phi = phi_image.z_pow + n * p ** (j + 1)
@@ -122,9 +112,9 @@ class VanishingCertificate:
             "steps": [
                 {
                     "j": s.j,
-                    "element": asdict(s.element),
-                    "can_image": asdict(s.can_image),
-                    "phi_image": asdict(s.phi_image),
+                    "element": _record(s.element),
+                    "can_image": _record(s.can_image),
+                    "phi_image": _record(s.phi_image),
                     "phi_unit": s.phi_unit,
                     "fdeg_can": s.fdeg_can,
                     "fdeg_phi": s.fdeg_phi,
@@ -139,6 +129,12 @@ class VanishingCertificate:
             "verified": self.verified,
             "failures": list(self.failures),
         }
+
+
+def _record(m: Monomial) -> dict:
+    """A chain monomial E^e z^k f_u as the certificate writes it."""
+    ((u, _),) = m.f_exp
+    return {"e_pow": m.e_pow, "z_pow": m.z_pow, "f_index": u}
 
 
 def certify_vanishing(p: int, n: int) -> VanishingCertificate:
@@ -160,14 +156,14 @@ def certify_vanishing(p: int, n: int) -> VanishingCertificate:
     for j in range(n - 1):
         w = telescoping_step(p, n, j)
         if not steps:
-            if w.can_image.z_pow + n != target or w.can_image.f_index != 0:
+            if w.can_image.z_pow + n != target or w.can_image.f_exp != ((0, 1),):
                 failures.append("target does not match the step-0 can image")
         else:
             prev = steps[-1]
             if w.can_image != prev.phi_image:
                 failures.append(f"chain link broken between steps {j - 1} and {j}")
         # the monomial grading is a second route to the closed-form degrees
-        degrees = (w.can_image.f_deg(p, n), w.phi_image.f_deg(p, n))
+        degrees = (f_degree(w.can_image, p, n), f_degree(w.phi_image, p, n))
         if (w.fdeg_can, w.fdeg_phi) != degrees:
             failures.append(f"step {j} filtration degree mismatch")
         if w.fdeg_phi <= w.fdeg_can:

@@ -53,6 +53,15 @@ TAIL_AT_TOP = _LINALG + "test_a_tail_from_the_highest_free_degree_blocks"
 NOT_COMBINED = (
     _LINALG + "test_a_pivot_column_reached_by_a_later_tail_prefix_is_not_combined"
 )
+DUPLICATED_NAME = "tests/test_zp.py::test_a_duplicated_named_class_is_refused"
+CROSS_CHECK = "tests/test_cli.py::test_failed_cross_check_exits_two"
+PRODUCER_CHECKS = "tests/test_zpn.py::test_every_producer_check_can_fail"
+CRITERION_4 = "tests/test_acceptance.py::test_criterion_4_k_group_vanishing_tables"
+CRITERION_5 = "tests/test_acceptance.py::test_criterion_5_torsion_tower_order"
+_KTHEORY = "tests/test_ktheory.py::"
+BOTT_TOWER = _KTHEORY + "test_nonzero_set_matches_bott_tower"
+H2_LITERALS = _KTHEORY + "test_h2_name_literals"
+ROW_NOTES = _KTHEORY + "test_row_notes_name_the_named_basis_class"
 
 MUTANTS = (
     Mutant(
@@ -117,6 +126,49 @@ MUTANTS = (
         "    if named != found or len(names) != sum(rep.dims):\n",
         "    if False:\n",
         (CUT_WINDOW,),
+    ),
+    Mutant(
+        "witness-count-unchecked",
+        "zp.py",
+        "    if named != found or len(names) != sum(rep.dims):\n",
+        "    if named != found:\n",
+        (DUPLICATED_NAME,),
+    ),
+    Mutant(
+        "cli-cross-check-exits-one",
+        "cli.py",
+        '        sys.stderr.write(f"error: {exc}\\n")\n        return 2\n',
+        '        sys.stderr.write(f"error: {exc}\\n")\n        return 1\n',
+        (CROSS_CHECK,),
+    ),
+    Mutant(
+        "producer-link-unchecked",
+        "zpn.py",
+        "if w.can_image != prev.phi_image:",
+        "if False:",
+        (PRODUCER_CHECKS,),
+    ),
+    Mutant(
+        "sample-cross-check-skipped",
+        "verifier.py",
+        "if dense != ok:",
+        "if False:",
+        (CROSS_CHECK,),
+    ),
+    Mutant(
+        "ktable-cut-one-bott-step-high",
+        "ktheory.py",
+        'i <= cert["weight"]',
+        'i <= cert["weight"] + p - 1',
+        (CRITERION_4, CRITERION_5, BOTT_TOWER),
+    ),
+    # criterion 5 cannot kill this one: its expected names come from h2_name
+    Mutant(
+        "h2-name-bott-power-high",
+        "zp.py",
+        '_power("v1", (w - p) // (p - 1))',
+        '_power("v1", (w - p) // (p - 1) + 1)',
+        (H2_LITERALS, ROW_NOTES),
     ),
 )
 

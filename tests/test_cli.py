@@ -18,6 +18,8 @@ def test_usage_errors_exit_one(capsys):
     assert main(["zp", "--p", "3", "--weights", "5..2"]) == 1
     assert main(["zp", "--p", "3", "--weights", "abc"]) == 1
     assert main(["zp", "--p", "3", "--bogus"]) == 1
+    assert main(["zp", "--p", "3", "--format", "xml"]) == 1
+    assert main(["zp", "--p", "abc"]) == 1
     assert main(["certify", "--p", "3"]) == 1
     assert main(["certify", "--p", "3", "--n", "1"]) == 1
     assert main(["ktable", "--p", "4", "--n", "3", "--imax", "5"]) == 1
@@ -25,7 +27,7 @@ def test_usage_errors_exit_one(capsys):
     assert main(["ktable", "--p", "3", "--n", "3", "--imax", "-1"]) == 1
     assert main(["nonsense"]) == 1
     err = capsys.readouterr().err
-    assert err.count("error:") == 10
+    assert err.count("error:") == 12
     # n <= 0 is refused by the same n >= 2 check as n = 1
     assert main(["certify", "--p", "3", "--n", "0"]) == 1
     assert capsys.readouterr().err == "error: need n >= 2\n"

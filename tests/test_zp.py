@@ -249,6 +249,18 @@ def test_a_mod_v1_class_moved_one_degree_is_refused(monkeypatch):
         mod_v1_cohomology(5, 4)
 
 
+def test_a_duplicated_named_class_is_refused(monkeypatch):
+    # the witness sets still agree, so only the count of names can object
+    def repeated(p, i):
+        names = named_basis(p, i)
+        return names + names[:1]
+
+    assert len(named_basis(3, 2)) == sum(zp_cohomology(3, 2).dims) == 3
+    monkeypatch.setattr(zp, "named_basis", repeated)
+    with pytest.raises(ArithmeticError, match="4 named for dims"):
+        zp_cohomology(3, 2)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_generators_are_the_certified_witnesses_past_the_acceptance_grid(p):
     # each generator spans a certified class: an h0 witness is a d0 kernel
