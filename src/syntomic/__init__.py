@@ -18,7 +18,6 @@ from .linalg import (
     INDETERMINATE,
     CohomologyReport,
     EliminationResult,
-    Series,
     SquareComplex,
     certified_eliminate,
     euler_characteristic,
@@ -51,7 +50,6 @@ __all__ = [
     "INDETERMINATE",
     "Monomial",
     "NamedClass",
-    "Series",
     "SquareComplex",
     "StepWitness",
     "VanishingCertificate",

@@ -9,9 +9,11 @@ by certainly nonzero entries and only reports a rank when the outcome is
 forced for every consistent assignment of the unknowns; otherwise it reports
 INDETERMINATE together with the first blocking position.
 
-Columns of the square-complex differentials are filtration-graded series:
-finitely many explicit terms plus an optional tail of independent unknowns
-from some degree on (the image of a truncation remainder).
+Rows are (corner, degree) pairs.  A graded column is a pair (terms, tails):
+its explicit entries by row, and by corner the degree from which its tail of
+independent unknowns starts (the image of a truncation remainder).  The
+square builders write their differentials in this form, and the eliminator
+reads it as it is.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from math import inf
 from operator import itemgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 CERTIFIED = "CERTIFIED"
 INDETERMINATE = "INDETERMINATE"
@@ -31,6 +33,8 @@ UNKNOWN_ENTRY = "?"
 _SYMBOLS = (UNIT_ENTRY, UNKNOWN_ENTRY)
 
 Scalar = int | str  # a residue or one of the two symbols
+Row = tuple[Any, int]  # (corner, degree)
+Column = tuple[dict[Row, Scalar], dict[Any, int]]  # (terms by row, tails by corner)
 
 
 def certainly_nonzero(s: Scalar) -> bool:
@@ -59,22 +63,11 @@ def _minus_multiple(a: Scalar, c: Scalar, b: Scalar, p: int) -> Scalar:
     return UNKNOWN_ENTRY
 
 
-@dataclass(frozen=True)
-class Series:
-    """Explicit terms below tail_from, independent unknowns from tail_from up.
-
-    Plain data: certified_eliminate and verify_truncation read each column
-    through one check (_graded), and a malformed column raises ValueError
-    naming its (corner, degree) row.
-    """
-
-    terms: tuple[tuple[int, Scalar], ...] = ()
-    tail_from: int | None = None
-
-
-def materialize(series: Series, degrees: Iterable[int]) -> dict[int, Scalar]:
-    """Column entries of the series over the given row degrees, UNKNOWN_ENTRY
-    on every tail row; an explicit term on no listed row raises ValueError."""
+def materialize(series: Any, degrees: Iterable[int]) -> dict[int, Scalar]:
+    """Column entries of a series over the given row degrees, UNKNOWN_ENTRY
+    on every tail row; an explicit term on no listed row raises ValueError.
+    The series is any object with (degree, entry) pairs as terms and an int
+    or None as tail_from."""
     degset = set(degrees)
     col: dict[int, Scalar] = {}
     for d, s in series.terms:
@@ -105,59 +98,42 @@ class EliminationResult:
         return self.status == CERTIFIED
 
 
-def _in_tail(tails: dict[Any, int], r: tuple[Any, int]) -> bool:
+def _in_tail(tails: dict[Any, int], r: Row) -> bool:
     return r[0] in tails and r[1] >= tails[r[0]]
 
 
-def _graded(
-    columns: dict[Any, dict[Any, Series]], row_order: Iterable[tuple[Any, int]], p: int
-) -> dict:
-    """The one reader of graded columns: each column as its explicit entries
-    by (tag, degree) row, in degree order per corner, and its tail_from by
-    corner.  The entries are keyed by the row objects of row_order, so no
-    column allocates a row of its own.  Raises ValueError at the first term
-    not above the one before it, not below its tail, on no row, or with an
-    entry neither in range(1, p) nor a symbol."""
-    rows = {r: r for r in row_order}
-    graded = {}
-    for c, parts in columns.items():
-        terms, tails = graded[c] = {}, {}
-        for tag, series in parts.items():
-            tail, prev = series.tail_from, -inf
-            for d, s in series.terms:
-                if d <= prev:
-                    raise ValueError(
-                        f"term at {(tag, d)!r} is not above the one before it"
-                    )
-                if tail is not None and d >= tail:
-                    raise ValueError(f"term at {(tag, d)!r} is not below its tail")
-                r = rows.get((tag, d))
-                if r is None:
-                    raise ValueError(f"explicit term at {(tag, d)!r} has no row")
-                if not (0 < s < p if type(s) is int else s in _SYMBOLS):
-                    raise ValueError(
-                        f"entry {s!r} at {r!r} is neither a residue in 1..{p - 1} "
-                        "nor a symbol"
-                    )
-                terms[r] = s
-                prev = d
-            if tail is not None:
-                tails[tag] = tail
-    return graded
+def _check(columns: dict[Any, Column], row_order: Iterable[Row], p: int) -> None:
+    """The one reader of graded columns, which copies nothing.  Raises
+    ValueError at the first term at or above its corner's tail, on no row
+    of row_order, or with an entry neither in range(1, p) nor a symbol."""
+    rows = set(row_order)
+    for terms, tails in columns.values():
+        for r, s in terms.items():
+            tail = tails.get(r[0])
+            if tail is not None and r[1] >= tail:
+                raise ValueError(f"term at {r!r} is not below its tail")
+            if r not in rows:
+                raise ValueError(f"explicit term at {r!r} has no row")
+            if not (0 < s < p if type(s) is int else s in _SYMBOLS):
+                raise ValueError(
+                    f"entry {s!r} at {r!r} is neither a residue in 1..{p - 1} "
+                    "nor a symbol"
+                )
 
 
 def certified_eliminate(
-    columns: dict[Any, dict[Any, Series]],
-    row_order: list[tuple[Any, int]],
+    columns: dict[Any, Column],
+    row_order: list[Row],
     p: int,
     in_span: Iterable[Any] = (),
 ) -> EliminationResult:
     """Column elimination with certified pivots on graded columns.
 
-    A column holds one Series per corner tag and its rows are (tag, degree)
-    pairs.  A tail stands for an independent unknown on each row of its
-    corner from tail_from up; tails are never expanded into entries.  The
-    columns are read through _graded, which refuses a malformed one.
+    Each column is a graded (terms, tails) pair.  A tail stands for an
+    independent unknown on each row of its corner from its start up; tails
+    are never expanded into entries.  The columns are checked in place by
+    _check, which refuses a malformed one, and are never written into: a
+    combined column is a new pair.
 
     Rows are visited once, in the given order.  The candidates at row
     (tag, d) are the pivotless columns with an explicit term there, found
@@ -201,13 +177,13 @@ def certified_eliminate(
     for c in span:
         if c not in columns:
             raise ValueError(f"in-span column {c!r} not among the columns")
-    graded = _graded(columns, row_order, p)
+    _check(columns, row_order, p)
     # working columns are keyed by their position in the order given, so the
     # first of them is the smallest int
-    order = [c for c in graded if c not in span]
-    work = [graded[c] for c in order]
+    order = [c for c in columns if c not in span]
+    work = [columns[c] for c in order]
 
-    def entry(j: int, r: tuple[Any, int]) -> Scalar | None:
+    def entry(j: int, r: Row) -> Scalar | None:
         """The entry of column j on a row that is not a pivot row."""
         terms, tails = work[j]
         e = terms.get(r)
@@ -331,10 +307,15 @@ class SquareComplex:
     """A filtration-truncated twisted de Rham square in one weight.
 
     Corners are finite graded bases: tuples of (index, filtration degree).
-    The four maps are columns of graded series keyed by source index, with
-    target degrees matching the target corner.  Total complex:
-    d0 = (nabla_top, v_left) : TL -> TR + BL and
-    d1(x, y) = v_right(x) - nabla_bot(y) : TR + BL -> BR.
+    The total complex is held as its two differentials, graded columns keyed
+    by (corner, index) with rows (corner, degree) over the target corners:
+    d0 = (nabla_top, v_left) : TL -> TR + BL has a column (TL, k) with its
+    nabla_top part on TR rows and its v_left part on BL rows, and
+    d1(x, y) = v_right(x) - nabla_bot(y) : TR + BL -> BR has the columns
+    (TR, k) of v_right, then (BL, m) of nabla_bot, all on BR rows.  The
+    nabla_bot columns are stored unnegated: scaling a column by the unit -1
+    moves no pivot, kernel column or blocking entry.  square_rows gives the
+    row order of each.
 
     bl_in_span marks bottom-left indices m whose nabla_bot column is a known
     combination of the other d1 columns (the square identity applied to the
@@ -347,10 +328,8 @@ class SquareComplex:
     tr: tuple[tuple[int, int], ...]
     bl: tuple[tuple[int, int], ...]
     br: tuple[tuple[int, int], ...]
-    nabla_top: dict[int, Series]
-    v_left: dict[int, Series]
-    v_right: dict[int, Series]
-    nabla_bot: dict[int, Series]
+    d0: dict[tuple[str, int], Column]
+    d1: dict[tuple[str, int], Column]
     bl_in_span: dict[int, int] = field(default_factory=dict)
 
     def corner_sizes(self) -> tuple[int, int, int, int]:
@@ -384,28 +363,20 @@ class CohomologyReport:
         return self.status == CERTIFIED
 
 
-def _square_columns(sq: SquareComplex) -> Iterator[tuple[dict, list]]:
-    """(columns, row order) of d0, then of d1, each built when it is asked
-    for; a column is keyed by the square's own (corner, index) pair: (TL, k)
-    in d0, (TR, k) then (BL, m) in d1.  d1(x, y) = v_right(x) - nabla_bot(y);
-    scaling a column by the unit -1 moves no pivot, kernel column or blocking
-    entry, so the sign is dropped."""
-    cols = {(TL, k): {TR: sq.nabla_top[k], BL: sq.v_left[k]} for k, _ in sq.tl}
-    # a stable sort by degree keeps a TR row before a BL row of equal degree
+def square_rows(sq: SquareComplex) -> tuple[list[Row], list[Row]]:
+    """The row orders of d0 and d1: the TR and BL rows by degree, a TR row
+    before a BL row of equal degree, then the BR rows by degree."""
     rows = [(TR, d) for _, d in sq.tr] + [(BL, d) for _, d in sq.bl]
-    yield cols, sorted(rows, key=itemgetter(1))
-    cols = {(TR, k): {BR: sq.v_right[k]} for k, _ in sq.tr}
-    cols.update(((BL, m), {BR: sq.nabla_bot[m]}) for m, _ in sq.bl)
-    yield cols, sorted((BR, d) for _, d in sq.br)
+    return sorted(rows, key=itemgetter(1)), sorted((BR, d) for _, d in sq.br)
 
 
 def square_cohomology(sq: SquareComplex) -> CohomologyReport:
     """Certified cohomology of the total complex of a square."""
     p = sq.p
-    matrices = _square_columns(sq)
-    elim0 = certified_eliminate(*next(matrices), p)
+    rows0, rows1 = square_rows(sq)
+    elim0 = certified_eliminate(sq.d0, rows0, p)
     elim1 = certified_eliminate(
-        *next(matrices), p, in_span=[(BL, m) for m in sq.bl_in_span]
+        sq.d1, rows1, p, in_span=[(BL, m) for m in sq.bl_in_span]
     )
 
     nt, ntr, nbl, nbr = sq.corner_sizes()
@@ -464,17 +435,17 @@ def verify_truncation(sq: SquareComplex, cutoffs: WindowCutoffs) -> TruncationCh
     arbitrary, enlarging the window then only adds columns reducible against
     each other, so the reported dimensions are stable.
     """
-    graded = {}
-    for cols, rows in _square_columns(sq):
-        graded.update(_graded(cols, rows, sq.p))
+    for columns, rows in zip((sq.d0, sq.d1), square_rows(sq)):
+        _check(columns, rows, sq.p)
+    graded = sq.d0 | sq.d1
     corners = {TR: sq.tr, BL: sq.bl, BR: sq.br}
 
     def lowest(c: tuple[str, int], tag: str) -> int | None:
         """The lowest degree of a row on tag where column c has an entry."""
         terms, tails = graded[c]
-        for t, d in terms:  # ascending per corner, below any tail
-            if t == tag:
-                return d
+        lead = min((d for t, d in terms if t == tag), default=None)
+        if lead is not None:
+            return lead  # explicit terms sit below their corner's tail
         start = tails.get(tag, inf)
         return min((d for _, d in corners[tag] if d >= start), default=None)
 

@@ -30,8 +30,8 @@ from .linalg import (
     BR,
     CERTIFIED,
     CohomologyReport,
+    Column,
     Scalar,
-    Series,
     SquareComplex,
     TL,
     TR,
@@ -59,31 +59,31 @@ def _square(p: int, i: int, window: WindowCutoffs) -> SquareComplex:
 
     Each corner keeps its basis elements of filtration degree at most the
     corner's top, and each differential is cut at the top of its target
-    corner.  Every column is written from its formula: at most two exact
-    terms, then an unknown tail.
+    corner.  Every column is written once, from its formula, as the graded
+    column the eliminator reads: at most two exact terms, then an unknown
+    tail.  Each row is one tuple per square, shared by every column with a
+    term on it.
     """
     tl = tuple((k, k + i) for k in range(window.tl - i + 1))
     tr = tuple((k, k + i - 1) for k in range(1, window.tr - i + 2))
     bl = tuple((m, m) for m in range(window.bl + 1))
     br = tuple((d, d) for d in range(1, window.br + 1))
-    one, minus_one, empty = 1, p - 1, Series()
+    bl_row = [(BL, d) for d in range(window.bl + 1)]  # the row of each degree
+    br_row = [(BR, d) for d in range(window.br + 1)]
+    minus_one = p - 1
 
-    def can_minus_phi(
-        can: int, phi: int, top: int
-    ) -> tuple[tuple[int, Scalar], ...]:
-        """The exact terms can - phi at or below top, in degree order."""
-        if can < phi:
-            terms = ((can, one), (phi, minus_one))
-        elif can > phi:
-            terms = ((phi, minus_one), (can, one))
-        else:
-            return ()  # the two coincide and cancel
-        if terms[1][0] <= top:
-            return terms
-        return terms[:1] if terms[0][0] <= top else ()
+    def can_minus_phi(can: int, phi: int, top: int, row: list) -> dict:
+        """The exact terms can - phi at or below top, on the rows given."""
+        if can == phi:
+            return {}  # the two coincide and cancel
+        terms: dict[tuple[str, int], Scalar] = {}
+        if can <= top:
+            terms[row[can]] = 1
+        if phi <= top:
+            terms[row[phi]] = minus_one
+        return terms
 
-    nabla_top: dict[int, Series] = {}
-    v_left: dict[int, Series] = {}
+    d0: dict[tuple[str, int], Column] = {}
     for k, _ in tl:
         # can lands on z^(k+i), phi on z^(pk), both exact
         if k + i == p * k:
@@ -91,33 +91,34 @@ def _square(p: int, i: int, window: WindowCutoffs) -> SquareComplex:
             # k-th power of the weight-(p-1) Bott class, a permanent cycle with
             # an exact cocycle representative, so its vertical image is zero
             # on the nose, not merely modulo the window
-            v_left[k] = nabla_top[k] = empty
+            d0[TL, k] = ({}, {})
             continue
-        v_left[k] = Series(can_minus_phi(k + i, p * k, window.bl))
-        nabla_top[k] = Series(tail_from=k + i) if k + i <= window.tr else empty
+        d0[TL, k] = (
+            can_minus_phi(k + i, p * k, window.bl, bl_row),
+            {TR: k + i} if k + i <= window.tr else {},
+        )
 
-    v_right: dict[int, Series] = {}
+    d1: dict[tuple[str, int], Column] = {}
     for k, _ in tr:
         # can is exact at z^(k+i-2) nabla z; the twisted frobenius leads at
         # z^(pk-1) nabla z with remainder strictly above, so the tail starts
         # right after the frobenius degree (and may swallow the can term)
-        v_right[k] = Series(
-            can_minus_phi(k + i - 1, p * k, min(p * k, window.br)),
-            p * k + 1 if p * k < window.br else None,
+        d1[TR, k] = (
+            can_minus_phi(k + i - 1, p * k, min(p * k, window.br), br_row),
+            {BR: p * k + 1} if p * k < window.br else {},
         )
 
-    nabla_bot: dict[int, Series] = {}
     bl_in_span: dict[int, int] = {}
     bott = i // (p - 1) if i % (p - 1) == 0 else None
     for m, _ in bl:
         if m == 0 or (bott is not None and m == p * bott):
             # z^(p k0) t^-i represents del times the k0-th Bott power, a
             # permanent cycle: its differential vanishes exactly, like d(1)
-            nabla_bot[m] = empty
+            d1[BL, m] = ({}, {})
             continue
-        nabla_bot[m] = Series(
-            ((m, m % p),) if m % p and m <= window.br else (),
-            m + 1 if m < window.br else None,
+        d1[BL, m] = (
+            {br_row[m]: m % p} if m % p and m <= window.br else {},
+            {BR: m + 1} if m < window.br else {},
         )
         if m % p == 0:
             k = m // p
@@ -128,17 +129,7 @@ def _square(p: int, i: int, window: WindowCutoffs) -> SquareComplex:
             bl_in_span[m] = k
 
     return SquareComplex(
-        p=p,
-        weight=i,
-        tl=tl,
-        tr=tr,
-        bl=bl,
-        br=br,
-        nabla_top=nabla_top,
-        v_left=v_left,
-        v_right=v_right,
-        nabla_bot=nabla_bot,
-        bl_in_span=bl_in_span,
+        p=p, weight=i, tl=tl, tr=tr, bl=bl, br=br, d0=d0, d1=d1, bl_in_span=bl_in_span
     )
 
 
@@ -196,15 +187,12 @@ class NamedClass:
         return mono_str(_monomial(self.weight, self.witness))
 
 
-def _power(base: str, k: int) -> str:
+def _named(k: int, bare: str) -> str:
+    """The name of v1^k times the bare class; "1" when both are trivial."""
     if k == 0:
-        return ""
-    return base if k == 1 else f"{base}^{k}"
-
-
-def _name(*parts: str) -> str:
-    live = [s for s in parts if s]
-    return "*".join(live) if live else "1"
+        return bare or "1"
+    power = "v1" if k == 1 else f"v1^{k}"
+    return f"{power}*{bare}" if bare else power
 
 
 def h2_name(p: int, w: int) -> str | None:
@@ -212,7 +200,7 @@ def h2_name(p: int, w: int) -> str | None:
     w = p + kap (p-1); None in every other weight, which has no H^2."""
     if w < p or (w - 1) % (p - 1):
         return None
-    return _name(_power("v1", (w - p) // (p - 1)), "del*lambda1")
+    return _named((w - p) // (p - 1), "del*lambda1")
 
 
 def _classes(p: int, i: int) -> list[tuple[int, NamedClass]]:
@@ -223,7 +211,7 @@ def _classes(p: int, i: int) -> list[tuple[int, NamedClass]]:
     out: list[tuple[int, NamedClass]] = []
 
     def add(k: int, bare: str, witness: tuple[str, int]) -> None:
-        out.append((k, NamedClass(_name(_power("v1", k), bare), i, witness)))
+        out.append((k, NamedClass(_named(k, bare), i, witness)))
 
     if i % (p - 1) == 0:
         k0 = i // (p - 1)

@@ -20,9 +20,14 @@ byte for byte what ktheory.table_to_json must write.
 reference_square is the Z_p square builder as it was before columns were
 written in closed form: every column is summed and cut by series_window, so
 zp._square must build equal squares on every window.
+Series is the suite's authoring type for one map entry of a square; graded
+writes {column: {corner: Series}} as the engine's graded columns, and
+square_map and with_map_entry read and replace one of a square's four maps
+as the restriction of its differentials to one target corner.
 """
 
 import json
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import pytest
@@ -35,13 +40,84 @@ from syntomic.linalg import (
     UNIT_ENTRY,
     UNKNOWN_ENTRY,
     Scalar,
-    Series,
     SquareComplex,
     WindowCutoffs,
     materialize,
 )
 
 ACCEPTANCE_LINES = []
+
+
+# ------------------------------------------------------ graded columns
+
+
+@dataclass(frozen=True)
+class Series:
+    """Explicit terms below tail_from, independent unknowns from tail_from up.
+
+    Plain data: graded writes it into a column, and the engine's one column
+    check (linalg._check) raises ValueError naming the (corner, degree) row
+    of a malformed one.
+    """
+
+    terms: tuple[tuple[int, Scalar], ...] = ()
+    tail_from: int | None = None
+
+
+def graded(columns):
+    """{column: {corner: Series}} as the engine's graded columns {column:
+    (terms by (corner, degree) row, tail_from by corner)}.  Checks nothing:
+    the engine's reader refuses a malformed column, and a term repeated on
+    one degree keeps its last entry."""
+    return {
+        c: (
+            {(tag, d): e for tag, s in parts.items() for d, e in s.terms},
+            {tag: s.tail_from for tag, s in parts.items() if s.tail_from is not None},
+        )
+        for c, parts in columns.items()
+    }
+
+
+# each map of a square: its differential, its source corner, its target corner
+MAPS = {
+    "nabla_top": ("d0", "TL", "TR"),
+    "v_left": ("d0", "TL", "BL"),
+    "v_right": ("d1", "TR", "BR"),
+    "nabla_bot": ("d1", "BL", "BR"),
+}
+
+
+def _restricted(column, tag) -> Series:
+    terms, tails = column
+    found = sorted((d, e) for (t, d), e in terms.items() if t == tag)
+    return Series(tuple(found), tails.get(tag))
+
+
+def square_map(sq, name) -> dict:
+    """One map of a square as {source index: Series}: each column of its
+    differential on the source corner, restricted to the target corner's
+    rows, terms in degree order."""
+    diff, source, target = MAPS[name]
+    return {
+        k: _restricted(col, target)
+        for (corner, k), col in getattr(sq, diff).items()
+        if corner == source
+    }
+
+
+def with_map_entry(sq, name, k, series):
+    """sq with one entry of one map replaced: the column (source, k) of its
+    differential keeps what it has on other corners and takes the series on
+    the target corner."""
+    diff, source, target = MAPS[name]
+    columns = getattr(sq, diff)
+    terms, tails = columns[source, k]
+    new_terms, new_tails = graded({0: {target: series}})[0]
+    column = (
+        {**{r: e for r, e in terms.items() if r[0] != target}, **new_terms},
+        {**{t: s for t, s in tails.items() if t != target}, **new_tails},
+    )
+    return replace(sq, **{diff: {**columns, (source, k): column}})
 
 
 # ------------------------------------------------- reference scalar algebra
@@ -204,23 +280,25 @@ def instantiate_square(sq, rng):
     tr_degs = [d for _, d in sq.tr]
     bl_degs = [d for _, d in sq.bl]
     br_degs = [d for _, d in sq.br]
+    nabla_top, v_left = square_map(sq, "nabla_top"), square_map(sq, "v_left")
+    v_right, nabla_bot = square_map(sq, "v_right"), square_map(sq, "nabla_bot")
 
     top = {}
     left = {}
     for k, _ in sq.tl:
         top[k] = {
             d: _value(s, p, rng)
-            for d, s in materialize(sq.nabla_top[k], tr_degs).items()
+            for d, s in materialize(nabla_top[k], tr_degs).items()
         }
         left[k] = {
             d: _value(s, p, rng)
-            for d, s in materialize(sq.v_left[k], bl_degs).items()
+            for d, s in materialize(v_left[k], bl_degs).items()
         }
     right = {}
     for k, _ in sq.tr:
         right[k] = {
             d: _value(s, p, rng)
-            for d, s in materialize(sq.v_right[k], br_degs).items()
+            for d, s in materialize(v_right[k], br_degs).items()
         }
 
     bot = {}
@@ -234,7 +312,7 @@ def instantiate_square(sq, rng):
         if m not in sq.bl_in_span:
             bot[m] = {
                 d: _value(s, p, rng)
-                for d, s in materialize(sq.nabla_bot[m], br_degs).items()
+                for d, s in materialize(nabla_bot[m], br_degs).items()
             }
             return bot[m]
         k = sq.bl_in_span[m]
@@ -376,6 +454,13 @@ def reference_square(p: int, i: int, window: WindowCutoffs) -> SquareComplex:
                 raise ArithmeticError("in-span partner escapes the window")
             bl_in_span[m] = k
 
+    d0 = graded(
+        {("TL", k): {"TR": nabla_top[k], "BL": v_left[k]} for k, _ in tl}
+    )
+    d1 = graded(
+        {("TR", k): {"BR": v_right[k]} for k, _ in tr}
+        | {("BL", m): {"BR": nabla_bot[m]} for m, _ in bl}
+    )
     return SquareComplex(
         p=p,
         weight=i,
@@ -383,10 +468,8 @@ def reference_square(p: int, i: int, window: WindowCutoffs) -> SquareComplex:
         tr=tr,
         bl=bl,
         br=br,
-        nabla_top=nabla_top,
-        v_left=v_left,
-        v_right=v_right,
-        nabla_bot=nabla_bot,
+        d0=d0,
+        d1=d1,
         bl_in_span=bl_in_span,
     )
 
@@ -405,12 +488,14 @@ def known_square_identity_holds(sq) -> bool:
     """Compare v_right o nabla_top with nabla_bot o v_left degreewise,
     wherever both composites are fully known."""
     p = sq.p
+    nabla_top, v_left = square_map(sq, "nabla_top"), square_map(sq, "v_left")
+    v_right, nabla_bot = square_map(sq, "v_right"), square_map(sq, "nabla_bot")
     for k, _ in sq.tl:
         for d, _ in sq.br:
             via_top = 0
             for kk, ddeg in sq.tr:
-                a = _series_coeff(sq.nabla_top[k], ddeg)
-                b = _series_coeff(sq.v_right[kk], d)
+                a = _series_coeff(nabla_top[k], ddeg)
+                b = _series_coeff(v_right[kk], d)
                 if a == 0 or b == 0:
                     continue
                 if a is None or b is None:
@@ -419,8 +504,8 @@ def known_square_identity_holds(sq) -> bool:
                 via_top = (via_top + a * b) % p
             via_bot = 0
             for m, mdeg in sq.bl:
-                a = _series_coeff(sq.v_left[k], mdeg)
-                b = _series_coeff(sq.nabla_bot[m], d)
+                a = _series_coeff(v_left[k], mdeg)
+                b = _series_coeff(nabla_bot[m], d)
                 if a == 0 or b == 0:
                     continue
                 if a is None or b is None:
@@ -527,20 +612,22 @@ def reference_square_eliminations(sq):
         [("TR", d) for _, d in sq.tr] + [("BL", d) for _, d in sq.bl],
         key=lambda rk: (rk[1], {"TR": 0, "BL": 1}[rk[0]]),
     )
+    nabla_top, v_left = square_map(sq, "nabla_top"), square_map(sq, "v_left")
+    v_right, nabla_bot = square_map(sq, "v_right"), square_map(sq, "nabla_bot")
     cols0 = {
         ("TL", k): materialized_column(
-            {"TR": sq.nabla_top[k], "BL": sq.v_left[k]}, rows1, p
+            {"TR": nabla_top[k], "BL": v_left[k]}, rows1, p
         )
         for k, _ in sq.tl
     }
     rows2 = [("BR", d) for d in sorted(d for _, d in sq.br)]
     cols1 = {
-        ("TR", k): materialized_column({"BR": sq.v_right[k]}, rows2, p)
+        ("TR", k): materialized_column({"BR": v_right[k]}, rows2, p)
         for k, _ in sq.tr
     }
     for m, _ in sq.bl:
         cols1[("BL", m)] = materialized_column(
-            {"BR": sq.nabla_bot[m]}, rows2, p, negate=True
+            {"BR": nabla_bot[m]}, rows2, p, negate=True
         )
     return (
         reference_eliminate(cols0, rows1, p),

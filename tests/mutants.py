@@ -16,6 +16,11 @@ The tier-1 suite runs only the drift check in tests/test_mutants.py: each
 old snippet occurs exactly once in its file, and each killer names a test
 that exists.  A mutant whose snippet no longer exists is re-targeted, never
 dropped.
+
+EQUIVALENT lists the known survivors: changes that no test can kill
+because they change no result the program reports, each with its reason.
+The harness does not run them; the drift check keeps their snippets
+current, so that nobody rediscovers them.
 """
 
 from __future__ import annotations
@@ -41,8 +46,21 @@ class Mutant:
     killers: tuple[str, ...]  # pytest node ids, relative to the repo root
 
 
+@dataclass(frozen=True)
+class Equivalent:
+    ident: str
+    file: str  # under src/syntomic/
+    old: str  # occurs exactly once in file
+    new: str
+    reason: str
+
+
 _LINALG = "tests/test_linalg.py::"
 ORACLE = _LINALG + "test_elimination_claims_hold_on_every_instantiation"
+READER = _LINALG + "test_series_validation"
+NO_ROW = _LINALG + "test_explicit_term_with_no_row_is_rejected"
+TERM_ORDER = _LINALG + "test_term_order_carries_no_meaning"
+NEVER_WRITES = _LINALG + "test_the_eliminator_never_writes_into_the_callers_columns"
 RULE = _LINALG + "test_minus_multiple_of_a_ratio_is_the_reference_composition"
 REFERENCE = _LINALG + "test_random_graded_matrices_match_the_reference"
 WIDE_REFERENCE = _LINALG + "test_wide_random_graded_matrices_match_the_reference"
@@ -53,7 +71,13 @@ TAIL_AT_TOP = _LINALG + "test_a_tail_from_the_highest_free_degree_blocks"
 NOT_COMBINED = (
     _LINALG + "test_a_pivot_column_reached_by_a_later_tail_prefix_is_not_combined"
 )
-DUPLICATED_NAME = "tests/test_zp.py::test_a_duplicated_named_class_is_refused"
+_ZP = "tests/test_zp.py::"
+DUPLICATED_NAME = _ZP + "test_a_duplicated_named_class_is_refused"
+BEYOND_NO_ROW = _ZP + "test_truncation_rejects_a_beyond_term_with_no_row"
+TAIL_AT_LEAD = (
+    _ZP + "test_a_leading_term_that_is_not_minimal_is_refused_where_it_is_read"
+)
+MALFORMED = _ZP + "test_both_readers_of_a_square_refuse_a_malformed_column_alike"
 CROSS_CHECK = "tests/test_cli.py::test_failed_cross_check_exits_two"
 PRODUCER_CHECKS = "tests/test_zpn.py::test_every_producer_check_can_fail"
 CRITERION_4 = "tests/test_acceptance.py::test_criterion_4_k_group_vanishing_tables"
@@ -121,6 +145,45 @@ MUTANTS = (
         (NOT_COMBINED,),
     ),
     Mutant(
+        "reader-row-check-dropped",
+        "linalg.py",
+        "            if r not in rows:\n"
+        '                raise ValueError(f"explicit term at {r!r} has no row")\n',
+        "",
+        (READER, NO_ROW, BEYOND_NO_ROW),
+    ),
+    Mutant(
+        "reader-tail-check-dropped",
+        "linalg.py",
+        "            if tail is not None and r[1] >= tail:\n"
+        '                raise ValueError(f"term at {r!r} is not below its tail")\n',
+        "",
+        (READER, TAIL_AT_LEAD),
+    ),
+    Mutant(
+        "reader-accepts-entry-zero",
+        "linalg.py",
+        "0 < s < p if type(s) is int",
+        "0 <= s < p if type(s) is int",
+        (READER, MALFORMED),
+    ),
+    Mutant(
+        "combined-written-into-callers-column",
+        "linalg.py",
+        "            work[j] = (combined, merged)\n",
+        "            terms.clear()\n"
+        "            terms.update(combined)\n"
+        "            work[j] = (terms, merged)\n",
+        (NEVER_WRITES,),
+    ),
+    Mutant(
+        "truncation-lead-is-first-term",
+        "linalg.py",
+        "lead = min((d for t, d in terms if t == tag), default=None)",
+        "lead = next((d for t, d in terms if t == tag), None)",
+        (TERM_ORDER,),
+    ),
+    Mutant(
         "witness-check-skipped",
         "zp.py",
         "    if named != found or len(names) != sum(rep.dims):\n",
@@ -166,9 +229,51 @@ MUTANTS = (
     Mutant(
         "h2-name-bott-power-high",
         "zp.py",
-        '_power("v1", (w - p) // (p - 1))',
-        '_power("v1", (w - p) // (p - 1) + 1)',
+        '_named((w - p) // (p - 1), "del*lambda1")',
+        '_named((w - p) // (p - 1) + 1, "del*lambda1")',
         (H2_LITERALS, ROW_NOTES),
+    ),
+)
+
+
+EQUIVALENT = (
+    Equivalent(
+        "verifier-chain-links-unchecked",
+        "verifier.py",
+        '                can["z_pow"] + n == target and can["f_index"] == 0,\n'
+        '                "target does not reduce to the step-0 can image '
+        'via f_0 = z^n",\n'
+        "            )\n"
+        "        else:\n"
+        "            check(\n"
+        '                f"{tag}_link",\n'
+        '                can["z_pow"] == prev_phi_z '
+        'and can["f_index"] == prev_phi_f,\n',
+        "                True,\n"
+        '                "target does not reduce to the step-0 can image '
+        'via f_0 = z^n",\n'
+        "            )\n"
+        "        else:\n"
+        "            check(\n"
+        '                f"{tag}_link",\n'
+        "                True,\n",
+        "each step's can and phi images are pinned by closed forms in (p, n, j) "
+        "and the step indices must be consecutive, so a certificate that "
+        "passes the other checks has can_j = phi_(j-1) = "
+        "z^(p^(n-1) - (n-j)p^j) f_j, and the target link likewise",
+    ),
+    Equivalent(
+        "tl-and-bl-windows-one-wider-above-3p",
+        "zp.py",
+        "    return WindowCutoffs(tl=i + kl, tr=top, bl=i + kl, br=top)\n",
+        "    wide = i > 3 * p\n"
+        "    return WindowCutoffs("
+        "tl=i + kl + wide, tr=top, bl=i + kl + wide, br=top)\n",
+        "the window is stable: the new TL column's one exact unit term pivots "
+        "on the new BL row, and the new BL element, zero under d1 beyond the "
+        "window, is that column's boundary, so every certified dimension, "
+        "witness and named generator is unchanged; at i <= 3p the corner-size "
+        "and truncation tests pin the window, so only i > 3p is listed",
     ),
 )
 

@@ -2,13 +2,13 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 
+from conftest import Series, square_map, with_map_entry
 from syntomic import zp
 from syntomic.cli import main
-from syntomic.linalg import UNKNOWN_ENTRY, Series
+from syntomic.linalg import UNKNOWN_ENTRY
 from syntomic.verifier import VerifierReport
 from syntomic.zp import zp_cohomology
 
@@ -136,11 +136,9 @@ def test_zp_indeterminate_weight_exits_two_with_its_row(
         sq = honest(p, i, extra)
         if (p, i) != (2, 3):
             return sq
-        col = sq.nabla_bot[1]
+        col = square_map(sq, "nabla_bot")[1]
         lead = ((col.terms[0][0], UNKNOWN_ENTRY),) + col.terms[1:]
-        return replace(
-            sq, nabla_bot={**sq.nabla_bot, 1: Series(lead, col.tail_from)}
-        )
+        return with_map_entry(sq, "nabla_bot", 1, Series(lead, col.tail_from))
 
     monkeypatch.setattr(zp, "build_zp_square", blocked)
     assert zp_cohomology(2, 3).d1.blocking == (("BL", 1), ("BR", 1))

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 import re
@@ -6,7 +7,9 @@ from dataclasses import replace
 import pytest
 
 from conftest import (
+    Series,
     fp_rank,
+    graded,
     is_known_zero,
     known,
     materialized_column,
@@ -17,6 +20,7 @@ from conftest import (
     scalar_mul,
     scalar_neg,
     series_window,
+    with_map_entry,
 )
 from conftest import certainly_nonzero as reference_nonzero
 from syntomic import linalg
@@ -25,7 +29,6 @@ from syntomic.linalg import (
     INDETERMINATE,
     UNIT_ENTRY,
     UNKNOWN_ENTRY,
-    Series,
     SquareComplex,
     _minus_multiple,
     _ratio,
@@ -33,6 +36,7 @@ from syntomic.linalg import (
     certified_eliminate,
     materialize,
     square_cohomology,
+    square_rows,
     verify_truncation,
 )
 from syntomic.zp import build_zp_square, mod_v1_square, standard_cutoffs
@@ -190,20 +194,12 @@ def test_ratio_refuses_a_divisor_that_may_vanish(p):
 
 
 def test_series_validation():
-    # a Series is plain data: each malformed one is refused where a column
-    # is read, with the same message by the eliminator and by both readers
-    # of a square (nabla_bot[1] of build_zp_square(3, 3, extra=2) has BR rows
-    # of degrees 1..5)
+    # a graded column is plain data: each malformed one is refused where a
+    # column is read, with the same message by the eliminator and by both
+    # readers of a square (nabla_bot[1] of build_zp_square(3, 3, extra=2) is
+    # the column (BL, 1) of d1, over BR rows of degrees 1..5)
     p = 3
     cases = [
-        (
-            Series(terms=((2, known(1, p)), (1, known(1, p)))),
-            "term at ('BR', 1) is not above the one before it",
-        ),
-        (
-            Series(terms=((1, known(1, p)), (1, known(1, p)))),
-            "term at ('BR', 1) is not above the one before it",
-        ),
         (
             Series(terms=((1, known(0, p)),)),
             "entry 0 at ('BR', 1) is neither a residue in 1..2 nor a symbol",
@@ -212,17 +208,78 @@ def test_series_validation():
             Series(terms=((4, known(1, p)),), tail_from=4),
             "term at ('BR', 4) is not below its tail",
         ),
+        (
+            Series(terms=((1, known(1, p)), (9, known(1, p)))),
+            "explicit term at ('BR', 9) has no row",
+        ),
     ]
     sq = build_zp_square(p, 3, extra=2)
     for series, message in cases:
         match = f"^{re.escape(message)}$"
+        columns = graded({"c": {"BR": series}})
         with pytest.raises(ValueError, match=match):
-            certified_eliminate({"c": {"BR": series}}, _rows(1, 2, 4, tag="BR"), p)
-        bad = replace(sq, nabla_bot={**sq.nabla_bot, 1: series})
+            certified_eliminate(columns, _rows(1, 2, 4, tag="BR"), p)
+        bad = with_map_entry(sq, "nabla_bot", 1, series)
         with pytest.raises(ValueError, match=match):
             square_cohomology(bad)
         with pytest.raises(ValueError, match=match):
             verify_truncation(bad, standard_cutoffs(p, 3))
+
+
+def _reversed_terms(columns, keys):
+    """The columns with the terms dict of each listed key in reverse order."""
+    return {
+        c: (dict(reversed(terms.items())), tails) if c in keys else (terms, tails)
+        for c, (terms, tails) in columns.items()
+    }
+
+
+def test_term_order_carries_no_meaning():
+    # column (TL, 2) of build_zp_square(3, 3, extra=2) has v_left terms on BL
+    # 5 and 6, and verify_truncation reads BL 5 as its leading term; with
+    # that terms dict in descending order, and with every column of a grid
+    # of squares reversed, eliminations, reports and verdicts are unchanged
+    sq = build_zp_square(3, 3, extra=2)
+    assert list(sq.d0[("TL", 2)][0]) == [("BL", 5), ("BL", 6)]
+    cases = [(sq, {("TL", 2)})] + [
+        (s, s.d0.keys() | s.d1.keys())
+        for s in (build_zp_square(p, i, 2) for p in (2, 3, 5) for i in range(3 * p))
+    ]
+    for sq, keys in cases:
+        flipped = replace(
+            sq, d0=_reversed_terms(sq.d0, keys), d1=_reversed_terms(sq.d1, keys)
+        )
+        for columns, flipped_columns, rows in zip(
+            (sq.d0, sq.d1), (flipped.d0, flipped.d1), square_rows(sq)
+        ):
+            assert certified_eliminate(flipped_columns, rows, sq.p) == (
+                certified_eliminate(columns, rows, sq.p)
+            )
+        assert square_cohomology(flipped) == square_cohomology(sq)
+        cutoffs = standard_cutoffs(sq.p, sq.weight)
+        assert verify_truncation(flipped, cutoffs) == verify_truncation(sq, cutoffs)
+        if keys == {("TL", 2)}:
+            assert list(flipped.d0[("TL", 2)][0]) == [("BL", 6), ("BL", 5)]
+            assert verify_truncation(flipped, cutoffs).ok
+
+
+def test_the_eliminator_never_writes_into_the_callers_columns(monkeypatch):
+    # build_zp_square(2, 3, extra=2) combines columns four times; two runs
+    # and a truncation check must leave every column as it was given
+    calls = []
+
+    def counted(e, pval, p):
+        calls.append(e)
+        return _ratio(e, pval, p)
+
+    monkeypatch.setattr(linalg, "_ratio", counted)
+    sq = build_zp_square(2, 3, extra=2)
+    before = copy.deepcopy((sq.d0, sq.d1))
+    first = square_cohomology(sq)
+    assert len(calls) == 4
+    assert square_cohomology(sq) == first
+    assert verify_truncation(sq, standard_cutoffs(2, 3)).ok
+    assert (sq.d0, sq.d1) == before
 
 
 def test_series_window_merges_and_cancels():
@@ -267,13 +324,13 @@ def _rows(*degrees, tag="R"):
 
 
 def test_unit_pivot_certifies_rank_one():
-    res = certified_eliminate({"c": _col((0, UNIT_ENTRY))}, _rows(0), 5)
+    res = certified_eliminate(graded({"c": _col((0, UNIT_ENTRY))}), _rows(0), 5)
     assert res.status == CERTIFIED and res.rank == 1
     assert res.kernel_dim == 0 and bool(res)
 
 
 def test_single_unknown_is_indeterminate():
-    res = certified_eliminate({"c": _col((0, UNKNOWN_ENTRY))}, _rows(0), 5)
+    res = certified_eliminate(graded({"c": _col((0, UNKNOWN_ENTRY))}), _rows(0), 5)
     assert res.status == INDETERMINATE
     assert res.blocking == ("c", ("R", 0))
     assert not res
@@ -292,7 +349,7 @@ def test_bottom_row_example_weight_three():
             else series_window(p, [(m, known(m, p))], tail_from=m + 1, top=top)
         )
         cols[m] = {"R": series}
-    res = certified_eliminate(cols, _rows(1, 2), p)
+    res = certified_eliminate(graded(cols), _rows(1, 2), p)
     assert res.status == CERTIFIED
     assert res.rank == 2
     assert res.kernel_columns == (0, 3)
@@ -304,7 +361,7 @@ def test_unknown_interference_blocks_certification():
         0: _col((1, known(1, p)), (2, UNKNOWN_ENTRY)),
         1: _col((2, UNKNOWN_ENTRY)),
     }
-    res = certified_eliminate(cols, _rows(1, 2), p)
+    res = certified_eliminate(graded(cols), _rows(1, 2), p)
     assert res.status == INDETERMINATE
     assert res.rank == 1  # the known pivot still counts
     assert res.blocking == (1, ("R", 2))
@@ -318,7 +375,7 @@ def test_shared_unknown_object_does_not_cancel_across_columns():
         0: _col((1, known(1, p)), (2, UNKNOWN_ENTRY)),
         1: _col((1, known(1, p)), (2, UNKNOWN_ENTRY)),
     }
-    res = certified_eliminate(cols, _rows(1, 2), p)
+    res = certified_eliminate(graded(cols), _rows(1, 2), p)
     assert res.status == INDETERMINATE
     assert res.blocking == (1, ("R", 2))
 
@@ -331,13 +388,13 @@ def test_pivot_row_cancellation_is_exact():
         0: _col((1, u), (2, known(1, p))),
         1: _col((1, u), (2, known(1, p))),
     }
-    res = certified_eliminate(cols, _rows(1, 2), p)
+    res = certified_eliminate(graded(cols), _rows(1, 2), p)
     assert res.status == INDETERMINATE  # 1 - (u/u)*1 is not known to vanish
     cols = {
         0: _col((1, known(2, p)), (2, known(1, p))),
         1: _col((1, known(2, p)), (2, known(1, p))),
     }
-    res = certified_eliminate(cols, _rows(1, 2), p)
+    res = certified_eliminate(graded(cols), _rows(1, 2), p)
     assert res.status == CERTIFIED and res.rank == 1
     assert res.kernel_columns == (1,)
 
@@ -348,12 +405,12 @@ def test_in_span_columns_count_into_kernel():
         "a": _col((1, known(1, p))),
         "b": _col((1, known(2, p))),
     }
-    res = certified_eliminate(cols, _rows(1), p, in_span=["b"])
+    res = certified_eliminate(graded(cols), _rows(1), p, in_span=["b"])
     assert res.status == CERTIFIED
     assert res.rank == 1 and res.total_columns == 2
     assert res.kernel_columns == ("b",)
     with pytest.raises(ValueError):
-        certified_eliminate(cols, _rows(1), p, in_span=["missing"])
+        certified_eliminate(graded(cols), _rows(1), p, in_span=["missing"])
 
 
 def test_certified_rank_matches_dense_rank_on_known_matrices():
@@ -373,7 +430,7 @@ def test_certified_rank_matches_dense_rank_on_known_matrices():
                 )
                 for c in range(ncols)
             }
-            res = certified_eliminate(cols, _rows(*range(rows)), p)
+            res = certified_eliminate(graded(cols), _rows(*range(rows)), p)
             assert res.status == CERTIFIED
             dense = fp_rank(
                 [dict(col["R"].terms) for col in cols.values()],
@@ -393,7 +450,7 @@ def test_row_order_is_respected():
         }
     }
     rows = [("BL", 1), ("TR", 2)]
-    res = certified_eliminate(cols, rows, p)
+    res = certified_eliminate(graded(cols), rows, p)
     assert res.pivots == ((("BL", 1), 0),)
 
 
@@ -415,18 +472,19 @@ def test_an_entry_that_is_no_nonzero_residue_nor_a_symbol_is_refused(
     # rank the column does not have; in-span columns are checked as well
     match = f"^{re.escape(message)}$"
     with pytest.raises(ValueError, match=match):
-        certified_eliminate({"c": _col((0, entry))}, _rows(0), 5)
+        certified_eliminate(graded({"c": _col((0, entry))}), _rows(0), 5)
     cols = {"a": _col((0, 1)), "b": _col((0, entry))}
     with pytest.raises(ValueError, match=match):
-        certified_eliminate(cols, _rows(0), 5, in_span=["b"])
+        certified_eliminate(graded(cols), _rows(0), 5, in_span=["b"])
 
 
 def test_explicit_term_with_no_row_is_rejected():
     p = 3
     with pytest.raises(ValueError, match="has no row"):
-        certified_eliminate({0: _col((3, known(1, p)))}, _rows(1, 2), p)
-    with pytest.raises(ValueError, match="has no row"):  # row of another corner
-        certified_eliminate({0: _col((1, known(1, p)), tag="S")}, _rows(1), p)
+        certified_eliminate(graded({0: _col((3, known(1, p)))}), _rows(1, 2), p)
+    with pytest.raises(ValueError, match="has no row"):
+        cols = graded({0: _col((1, known(1, p)), tag="S")})  # another corner
+        certified_eliminate(cols, _rows(1), p)
 
 
 def test_tail_on_a_pivot_row_resolves_to_kernel():
@@ -434,7 +492,7 @@ def test_tail_on_a_pivot_row_resolves_to_kernel():
     # reduced there, it is exactly zero, so nothing is left to block
     p = 3
     cols = {0: _col((1, known(1, p))), 1: _col(tail=1)}
-    res = certified_eliminate(cols, _rows(1), p)
+    res = certified_eliminate(graded(cols), _rows(1), p)
     assert res.status == CERTIFIED
     assert res.pivots == ((("R", 1), 0),)
     assert res.kernel_columns == (1,)
@@ -448,7 +506,7 @@ def test_tail_inherited_from_the_pivot_column_blocks_at_its_first_free_row():
         0: _col((1, known(1, p)), tail=3),
         1: _col((1, known(2, p))),
     }
-    res = certified_eliminate(cols, _rows(1, 2, 3, 4), p)
+    res = certified_eliminate(graded(cols), _rows(1, 2, 3, 4), p)
     assert res.status == INDETERMINATE
     assert res.rank == 1
     assert res.blocking == (1, ("R", 3))
@@ -457,7 +515,7 @@ def test_tail_inherited_from_the_pivot_column_blocks_at_its_first_free_row():
 def _as_reference(cols, rows, p, span=()):
     """The engine's result, after checking every field against the reference
     eliminator on the same columns with their tails expanded."""
-    res = certified_eliminate(cols, rows, p, in_span=span)
+    res = certified_eliminate(graded(cols), rows, p, in_span=span)
     flat = {c: materialized_column(parts, rows, p) for c, parts in cols.items()}
     assert _fields(res) == _fields(reference_eliminate(flat, rows, p, span))
     return res
@@ -530,10 +588,8 @@ def test_a_square_that_is_not_a_complex_is_refused():
         tr=(),
         bl=((0, 0),),
         br=((1, 1),),
-        nabla_top={0: Series()},
-        v_left={0: Series(((0, known(1, p)),))},
-        v_right={},
-        nabla_bot={0: Series(((1, known(1, p)),))},
+        d0=graded({("TL", 0): {"TR": Series(), "BL": Series(((0, known(1, p)),))}}),
+        d1=graded({("BL", 0): {"BR": Series(((1, known(1, p)),))}}),
     )
     with pytest.raises(ArithmeticError, match="negative certified dimension"):
         square_cohomology(sq)
@@ -665,7 +721,7 @@ def test_elimination_claims_hold_on_every_instantiation(p, draws):
     statuses = {CERTIFIED: 0, INDETERMINATE: 0}
     for _ in range(draws):
         cols, rows, span = _oracle_case(rng, p)
-        res = certified_eliminate(cols, rows, p, in_span=list(span))
+        res = certified_eliminate(graded(cols), rows, p, in_span=list(span))
         statuses[res.status] += 1
         pivot_cols = [c for _, c in res.pivots]
         pivot_rows = {r for r, _ in res.pivots}
@@ -767,7 +823,7 @@ def test_random_graded_matrices_match_the_reference():
     tailed_corners = {0: 0, 1: 0, 2: 0}
     for _ in range(2000):
         p, cols, rows, span = _random_graded_matrix(rng)
-        res = certified_eliminate(cols, rows, p, in_span=span)
+        res = certified_eliminate(graded(cols), rows, p, in_span=span)
         flat = {c: materialized_column(parts, rows, p) for c, parts in cols.items()}
         assert _fields(res) == _fields(reference_eliminate(flat, rows, p, span))
         statuses[res.status] += 1
@@ -790,7 +846,7 @@ def test_wide_random_graded_matrices_match_the_reference():
         p, cols, rows, span = _random_graded_matrix(
             rng, degree_bound=24, max_degrees=16, max_cols=40, sorted_share=0.8
         )
-        res = certified_eliminate(cols, rows, p, in_span=span)
+        res = certified_eliminate(graded(cols), rows, p, in_span=span)
         flat = {c: materialized_column(parts, rows, p) for c, parts in cols.items()}
         assert _fields(res) == _fields(reference_eliminate(flat, rows, p, span))
         statuses[res.status] += 1

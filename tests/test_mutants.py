@@ -1,19 +1,21 @@
-"""Drift check of the mutant catalogue (tests/mutants.py): every mutant still
-applies to the code as it is, and every killer names a test that exists.
-`python tests/mutants.py` runs the catalogue itself."""
+"""Drift check of the mutant catalogue (tests/mutants.py): every mutant and
+every listed equivalent still applies to the code as it is, and every
+killer names a test that exists.  `python tests/mutants.py` runs the
+catalogue itself."""
 
 import re
 
 import pytest
 
-from mutants import MUTANTS, ROOT
+from mutants import EQUIVALENT, MUTANTS, ROOT
 
 
 def test_mutant_ids_are_distinct():
-    assert len({m.ident for m in MUTANTS}) == len(MUTANTS)
+    idents = [m.ident for m in MUTANTS + EQUIVALENT]
+    assert len(set(idents)) == len(idents)
 
 
-@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.ident)
+@pytest.mark.parametrize("mutant", MUTANTS + EQUIVALENT, ids=lambda m: m.ident)
 def test_each_old_snippet_occurs_exactly_once(mutant):
     text = (ROOT / "src" / "syntomic" / mutant.file).read_text()
     assert text.count(mutant.old) == 1

@@ -5,12 +5,16 @@ from dataclasses import replace
 import pytest
 
 from conftest import (
+    Series,
     closed_form_dims,
+    graded,
     known,
     known_square_identity_holds,
     mod_v1_expected_dims,
     reference_square,
     sampled_dims,
+    square_map,
+    with_map_entry,
 )
 from syntomic import zp
 from syntomic.linalg import (
@@ -19,7 +23,6 @@ from syntomic.linalg import (
     CERTIFIED,
     TL,
     TR,
-    Series,
     WindowCutoffs,
     certified_eliminate,
     euler_characteristic,
@@ -375,7 +378,7 @@ def _unit_terms(*degrees):
 )
 def test_truncation_failure_reasons(field, key, series, failing, detail):
     sq = build_zp_square(3, 3, extra=2)
-    bad = replace(sq, **{field: {**getattr(sq, field), key: series}})
+    bad = with_map_entry(sq, field, key, series)
     chk = verify_truncation(bad, standard_cutoffs(3, 3))
     assert (chk.ok, chk.failing, chk.detail) == (False, failing, detail)
 
@@ -383,23 +386,20 @@ def test_truncation_failure_reasons(field, key, series, failing, detail):
 @pytest.mark.parametrize("field", ["v_left", "v_right"])
 def test_truncation_rejects_a_beyond_term_with_no_row(field):
     sq = build_zp_square(3, 3, extra=2)
-    lead = getattr(sq, field)[2].terms[0][0]
+    lead = square_map(sq, field)[2].terms[0][0]
     column = Series(_unit_terms(lead, 9))  # no row has degree 9
-    bad = replace(sq, **{field: {**getattr(sq, field), 2: column}})
+    bad = with_map_entry(sq, field, 2, column)
     with pytest.raises(ValueError, match="has no row"):
         verify_truncation(bad, standard_cutoffs(3, 3))
 
 
 def test_a_leading_term_that_is_not_minimal_is_refused_where_it_is_read():
-    # verify_truncation reads the first explicit term as the leading one; a
-    # Series with a lower term after it, or a tail at or below it, is
-    # refused by the one column reader, alike for both readers of a square
+    # verify_truncation reads the lowest explicit term as the leading one; a
+    # column with a tail at or below it is refused by the one column reader,
+    # alike for both readers of a square (term order carries no meaning:
+    # tests/test_linalg.py::test_term_order_carries_no_meaning)
     sq = build_zp_square(3, 3, extra=2)
     cases = [
-        (
-            Series(_unit_terms(6, 5)),
-            "term at ('BL', 5) is not above the one before it",
-        ),
         (
             Series(_unit_terms(5), tail_from=5),
             "term at ('BL', 5) is not below its tail",
@@ -409,8 +409,8 @@ def test_a_leading_term_that_is_not_minimal_is_refused_where_it_is_read():
     for series, message in cases:
         match = f"^{re.escape(message)}$"
         with pytest.raises(ValueError, match=match):
-            certified_eliminate({(TL, 2): {BL: series}}, rows, 3)
-        bad = replace(sq, v_left={**sq.v_left, 2: series})
+            certified_eliminate(graded({(TL, 2): {BL: series}}), rows, 3)
+        bad = with_map_entry(sq, "v_left", 2, series)
         with pytest.raises(ValueError, match=match):
             square_cohomology(bad)
         with pytest.raises(ValueError, match=match):
@@ -431,7 +431,7 @@ def test_truncation_refuses_an_entry_that_square_cohomology_refuses(
     field, key, series, message
 ):
     sq = build_zp_square(3, 3, extra=2)
-    bad = replace(sq, **{field: {**getattr(sq, field), key: series}})
+    bad = with_map_entry(sq, field, key, series)
     match = f"^{re.escape(message)}$"
     with pytest.raises(ValueError, match=match):
         square_cohomology(bad)
@@ -450,15 +450,14 @@ def _malformed_squares(sq):
     for field, tag in (
         ("nabla_top", TR), ("v_left", BL), ("v_right", BR), ("nabla_bot", BR)
     ):
-        columns = getattr(sq, field)
-        for key, s in columns.items():
+        for key, s in square_map(sq, field).items():
             broken = [Series(((lowest[tag] - 1, 1),) + s.terms, s.tail_from)]
             for j, (d, _) in enumerate(s.terms):
                 for entry in (0, sq.p, -1, True):
                     terms = s.terms[:j] + ((d, entry),) + s.terms[j + 1:]
                     broken.append(Series(terms, s.tail_from))
             for series in broken:
-                yield replace(sq, **{field: {**columns, key: series}})
+                yield with_map_entry(sq, field, key, series)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -493,15 +492,12 @@ def test_known_square_identity_on_grid():
 def test_exact_zero_columns():
     # bott column: vertical map and horizontal cancellation at k(p-1) = i
     sq = build_zp_square(3, 4)
-    assert sq.nabla_top[2].terms == () and sq.nabla_top[2].tail_from is None
-    assert sq.v_left[2].terms == () and sq.v_left[2].tail_from is None
-    assert sq.nabla_bot[0].terms == ()
-    assert sq.nabla_bot[6].terms == () and sq.nabla_bot[6].tail_from is None
+    assert sq.d0[TL, 2] == ({}, {})
+    assert sq.d1[BL, 0] == ({}, {})
+    assert sq.d1[BL, 6] == ({}, {})
     # non-bott columns keep their exact leads and unknown tails
-    assert sq.nabla_top[0].tail_from == 4
-    lead_deg, lead = sq.nabla_bot[2].terms[0]
-    assert (lead_deg, lead) == (2, 2)
-    assert sq.nabla_bot[2].tail_from == 3
+    assert sq.d0[TL, 0][1] == {TR: 4}
+    assert sq.d1[BL, 2] == ({(BR, 2): 2}, {BR: 3})
 
 
 def test_in_span_partners():
@@ -540,7 +536,7 @@ def test_mod_v1_vertical_is_cut_at_the_top_right_window(p):
     # reaches i + 1 at weight p-1 and i above it, so the tail is always kept
     for i in range(p - 1, 3 * p + 1):
         sq = mod_v1_square(p, i)
-        assert sq.nabla_top == {0: Series(tail_from=i)}, (p, i)
+        assert square_map(sq, "nabla_top") == {0: Series(tail_from=i)}, (p, i)
         assert max(d for _, d in sq.tr) == i + (i == p - 1)
 
 
