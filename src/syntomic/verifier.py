@@ -12,12 +12,12 @@ instantiated column system is triangular (each column's lowest term is its
 exact can image, with coefficient one) and block-bidiagonal by level: a
 level-j column leads at level j and its phi image lies wholly at level
 j+1.  So a peel that clears one level at a time, each level's terms with
-their final coefficients, is a sound and complete membership decision, and
-a success constructs an explicit preimage.  The peel draws each level's
-unit series when it reaches that level.  Each constant term is nonzero, so
-the lowest term of a level never cancels and the sampled verdict depends
-only on p and n; dense F_p elimination over the same column space, on
-small truncations, is the only second route.
+their final coefficients, is a sound and complete membership decision; it
+reports the verdict and the number of terms it cleared.  Each sample draws
+the unit series of every level, then peels them.  Each constant term is
+nonzero, so the lowest term of a level never cancels and the sampled
+verdict depends only on p and n; dense F_p elimination over the same column
+space, on small truncations, is the only second route.
 """
 
 from __future__ import annotations
@@ -198,14 +198,51 @@ def _check_certificate(data: dict, check) -> None:
         )
 
 
-def _greedy_membership(
-    p: int,
-    n: int,
-    units: dict[int, list[tuple[int, int]]],
-    rng: random.Random | None = None,
-    max_tail: int = 3,
-) -> tuple[bool, int]:
-    """Decide, for the instantiated system, whether the target is hit.
+MAX_TAIL = 3  # the most tail terms of a drawn unit series
+Units = list[list[tuple[int, int]]]  # units[j]: lambda_j's (offset, lam) terms
+
+
+def _draw_units(p: int, n: int, rng: random.Random) -> Units:
+    """The (offset, lam) terms of lambda_0, ..., lambda_(n-1), drawn from rng.
+
+    Per level: a constant in [1, p), a tail length in [0, MAX_TAIL], then per
+    tail term an offset in [1, max(bound // n, 2)) and a coefficient in
+    [0, p), kept only if nonzero.  Each value in [a, a + m) is a plus the
+    first rng.getrandbits(m.bit_length()) below m, as CPython's randrange
+    draws it, so rng ends where randrange leaves it.  Needs p >= 2 and n >= 2,
+    which sample_certificate checks first: getrandbits(0) never ends a draw.
+    """
+    getrandbits = rng.getrandbits
+    bound = n * (p ** (n - 1) - p ** (n - 2))
+    m_const, k_const = p - 1, (p - 1).bit_length()
+    m_len, k_len = MAX_TAIL + 1, (MAX_TAIL + 1).bit_length()
+    m_off = max(bound // n, 2) - 1
+    k_off, k_coef = m_off.bit_length(), p.bit_length()
+    units = []
+    for _ in range(n):
+        r = getrandbits(k_const)
+        while r >= m_const:
+            r = getrandbits(k_const)
+        series = [(0, 1 + r)]
+        length = getrandbits(k_len)
+        while length >= m_len:
+            length = getrandbits(k_len)
+        for _ in range(length):
+            offset = getrandbits(k_off)
+            while offset >= m_off:
+                offset = getrandbits(k_off)
+            lam = getrandbits(k_coef)
+            while lam >= p:
+                lam = getrandbits(k_coef)
+            if lam:
+                series.append((1 + offset, lam))
+        units.append(series)
+    return units
+
+
+def _greedy_membership(p: int, n: int, units: Units) -> tuple[bool, int]:
+    """(whether the target is hit, the number of terms cleared), for the
+    system instantiated with units.
 
     State: the residual terms of one level j, as {z power a: coefficient}
     in F_p, all of filtration degree a + n*p^j < n * weight.  The unique
@@ -216,56 +253,20 @@ def _greedy_membership(
     coefficient is final, so the peel clears one level at a time, counting
     each live term once; a term below its level's floor has no column and
     fails it.  No image is formed for an empty level or for level n - 1.
-
-    A level that units does not hold is drawn from rng when the peel
-    reaches it, and stored in units.  In this order: a constant in [1, p),
-    a tail length in [0, max_tail], then per tail term an offset in
-    [1, max(bound // n, 2)) and a coefficient in [0, p), stored only if
-    nonzero: a zero term leaves the series as it is.  Each value in
-    [a, a + m) is a plus the first rng.getrandbits(m.bit_length()) below m,
-    as CPython's randrange(a, a + m) draws it.  Every level is drawn, also
-    once the peel has failed or emptied, so rng ends where randrange leaves
-    it.  An empty range (p < 2 or max_tail < 0) raises ValueError first.
     """
-    if p < 2 or max_tail < 0:
-        raise ValueError(f"empty draw range: p={p}, max_tail={max_tail}")
     weight = p ** (n - 1) - p ** (n - 2)
     bound = n * weight
-    if rng is not None:
-        getrandbits = rng.getrandbits
-        m_const, k_const = p - 1, (p - 1).bit_length()
-        m_len, k_len = max_tail + 1, (max_tail + 1).bit_length()
-        m_off = max(bound // max(n, 1), 2) - 1
-        k_off, k_coef = m_off.bit_length(), p.bit_length()
     # the target z^(p^(n-1) - n) f_0 at level 0, if not zero mod truncation
     level = {p ** (n - 1) - n: 1} if p ** (n - 1) < bound else {}
     ok, clears, pj = True, 0, 1  # pj = p^j
     for j in range(n):
-        series = units.get(j)
-        if series is None and rng is not None:
-            r = getrandbits(k_const)
-            while r >= m_const:
-                r = getrandbits(k_const)
-            series = [(0, 1 + r)]
-            length = getrandbits(k_len)
-            while length >= m_len:
-                length = getrandbits(k_len)
-            for _ in range(length):
-                offset = getrandbits(k_off)
-                while offset >= m_off:
-                    offset = getrandbits(k_off)
-                lam = getrandbits(k_coef)
-                while lam >= p:
-                    lam = getrandbits(k_coef)
-                if lam:
-                    series.append((1 + offset, lam))
-            units[j] = series
         floor, pj = weight - pj, pj * p
         if level and min(level) < floor:
             ok, level = False, {}  # no column leads at this position
         clears += len(level)
         if not level or j == n - 1:
             continue
+        series = units[j]
         limit = bound - n * pj  # the level-(j+1) truncation
         image: dict[int, int] = {}
         get = image.get
@@ -301,9 +302,7 @@ def _reduce(
     return cur
 
 
-def _dense_membership(
-    p: int, n: int, units: dict[int, list[tuple[int, int]]]
-) -> bool:
+def _dense_membership(p: int, n: int, units: Units) -> bool:
     """Plain F_p elimination over the same single-f column space."""
     weight = p ** (n - 1) - p ** (n - 2)
     bound = n * weight
@@ -354,10 +353,10 @@ class SampleReport:
 
 
 def sample_certificate(data: dict, samples: int = 100, seed: int = 0) -> SampleReport:
-    """Sample the certified identity: each sample peels a fresh instantiation
-    drawn level by level from one Random(seed), and the first five samples
+    """Sample the certified identity: each sample draws the units of every
+    level from one Random(seed) and peels them, and the first five samples
     of a truncation bound <= 24 are cross-checked by dense elimination on the
-    recorded units.  ValueError is raised before any draw unless there is at
+    same units.  ValueError is raised before any draw unless there is at
     least one sample, p is prime and n >= 2: else all would pass vacuously.
     A p or n that is not an int (a bool, float or string) raises TypeError."""
     if samples < 1:
@@ -371,8 +370,8 @@ def sample_certificate(data: dict, samples: int = 100, seed: int = 0) -> SampleR
     rng = random.Random(seed)
     passes, crossed = 0, False
     for trial in range(samples):
-        units: dict[int, list[tuple[int, int]]] = {}
-        ok, _ = _greedy_membership(p, n, units, rng)
+        units = _draw_units(p, n, rng)
+        ok, _ = _greedy_membership(p, n, units)
         if bound <= 24 and trial < 5:
             dense = _dense_membership(p, n, units)
             crossed = True

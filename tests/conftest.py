@@ -195,8 +195,8 @@ def seventh_peel_fails(monkeypatch):
     Returns the list of true verdicts, one per call."""
     peel, verdicts = verifier._greedy_membership, []
 
-    def seventh_fails(p, n, units, rng=None, max_tail=3):
-        ok, clears = peel(p, n, units, rng, max_tail)
+    def seventh_fails(p, n, units):
+        ok, clears = peel(p, n, units)
         verdicts.append(ok)
         return (ok and len(verdicts) != 7, clears)
 
@@ -638,17 +638,17 @@ def reference_square_eliminations(sq):
 
 
 def reference_instantiate_units(p, n, bound, rng, max_tail=3):
-    """The verifier's unit series drawn through rng.randrange: per level a
-    nonzero constant plus a short random tail.  verifier._greedy_membership,
-    given rng and an empty units dict, must record the same units with the
-    zero-coefficient tail terms left out, and leave rng in the same state."""
-    units = {}
-    for j in range(n):
+    """The verifier's unit series drawn through rng.randrange, as a list by
+    level: per level a nonzero constant plus a short random tail.
+    verifier._draw_units must draw the same units with the zero-coefficient
+    tail terms left out, and leave rng in the same state."""
+    units = []
+    for _ in range(n):
         series = [(0, rng.randrange(1, p))]
         for _ in range(rng.randrange(0, max_tail + 1)):
             offset = rng.randrange(1, max(bound // max(n, 1), 2))
             series.append((offset, rng.randrange(0, p)))
-        units[j] = series
+        units.append(series)
     return units
 
 

@@ -82,10 +82,25 @@ CROSS_CHECK = "tests/test_cli.py::test_failed_cross_check_exits_two"
 PRODUCER_CHECKS = "tests/test_zpn.py::test_every_producer_check_can_fail"
 CRITERION_4 = "tests/test_acceptance.py::test_criterion_4_k_group_vanishing_tables"
 CRITERION_5 = "tests/test_acceptance.py::test_criterion_5_torsion_tower_order"
+PAST_THE_GRID = (
+    _ZP + "test_generators_are_the_certified_witnesses_past_the_acceptance_grid"
+)
+WINDOWED_REFERENCE = _ZP + "test_builder_matches_the_windowed_reference"
 _KTHEORY = "tests/test_ktheory.py::"
 BOTT_TOWER = _KTHEORY + "test_nonzero_set_matches_bott_tower"
 H2_LITERALS = _KTHEORY + "test_h2_name_literals"
 ROW_NOTES = _KTHEORY + "test_row_notes_name_the_named_basis_class"
+H2_WHERE_CERTIFIED = _KTHEORY + "test_h2_name_exactly_where_h2_is_certified"
+_VERIFIER = "tests/test_verifier.py::"
+NONZERO_CONSTANTS = _VERIFIER + "test_instantiated_units_have_nonzero_constants"
+RANDRANGE_DRAWS = _VERIFIER + "test_unit_draws_are_the_randrange_draws"
+DEGENERATE = _VERIFIER + "test_degenerate_case_is_vacuously_members"
+PEEL_SCAN = _VERIFIER + "test_peel_matches_the_reference_scan"
+HAND_BUILT = _VERIFIER + "test_peel_against_the_reference_on_hand_built_maps"
+# standard_cutoffs' window of weight i, and the flag that moves one corner's
+# top by one above weight 3p
+_WINDOW = "    return WindowCutoffs(tl=i + kl, tr=top, bl=i + kl, br=top)\n"
+_CUT = "    cut = i > 3 * p\n"
 
 MUTANTS = (
     Mutant(
@@ -219,6 +234,55 @@ MUTANTS = (
         (CROSS_CHECK,),
     ),
     Mutant(
+        "draw-zero-constant",
+        "verifier.py",
+        "series = [(0, 1 + r)]",
+        "series = [(0, r)]",
+        (NONZERO_CONSTANTS, RANDRANGE_DRAWS, DEGENERATE),
+    ),
+    Mutant(
+        "peel-last-level-floor-unchecked",
+        "verifier.py",
+        "        if level and min(level) < floor:\n",
+        "        if level and min(level) < floor and j < n - 1:\n",
+        (HAND_BUILT,),
+    ),
+    Mutant(
+        "peel-drops-the-constant",
+        "verifier.py",
+        "        series = units[j]\n",
+        "        series = units[j][1:]\n",
+        (PEEL_SCAN, HAND_BUILT),
+    ),
+    Mutant(
+        "peel-truncation-inclusive",
+        "verifier.py",
+        "if pos < limit:",
+        "if pos <= limit:",
+        (PEEL_SCAN, HAND_BUILT),
+    ),
+    Mutant(
+        "tr-window-cut-above-3p",
+        "zp.py",
+        _WINDOW,
+        _CUT + "    return WindowCutoffs(tl=i + kl, tr=top - cut, bl=i + kl, br=top)\n",
+        (CUT_WINDOW, PAST_THE_GRID, H2_WHERE_CERTIFIED),
+    ),
+    Mutant(
+        "br-window-cut-above-3p",
+        "zp.py",
+        _WINDOW,
+        _CUT + "    return WindowCutoffs(tl=i + kl, tr=top, bl=i + kl, br=top - cut)\n",
+        (CUT_WINDOW, PAST_THE_GRID, H2_WHERE_CERTIFIED),
+    ),
+    Mutant(
+        "bl-window-cut-above-3p",
+        "zp.py",
+        _WINDOW,
+        _CUT + "    return WindowCutoffs(tl=i + kl, tr=top, bl=i + kl - cut, br=top)\n",
+        (CUT_WINDOW, PAST_THE_GRID, H2_WHERE_CERTIFIED, WINDOWED_REFERENCE),
+    ),
+    Mutant(
         "ktable-cut-one-bott-step-high",
         "ktheory.py",
         'i <= cert["weight"]',
@@ -265,7 +329,7 @@ EQUIVALENT = (
     Equivalent(
         "tl-and-bl-windows-one-wider-above-3p",
         "zp.py",
-        "    return WindowCutoffs(tl=i + kl, tr=top, bl=i + kl, br=top)\n",
+        _WINDOW,
         "    wide = i > 3 * p\n"
         "    return WindowCutoffs("
         "tl=i + kl + wide, tr=top, bl=i + kl + wide, br=top)\n",

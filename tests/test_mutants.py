@@ -1,13 +1,14 @@
 """Drift check of the mutant catalogue (tests/mutants.py): every mutant and
 every listed equivalent still applies to the code as it is, and every
-killer names a test that exists.  `python tests/mutants.py` runs the
-catalogue itself."""
+killer names a test that exists.  The mutants whose first killer is
+fastest are also run here; `python tests/mutants.py` runs the whole
+catalogue."""
 
 import re
 
 import pytest
 
-from mutants import EQUIVALENT, MUTANTS, ROOT
+from mutants import EQUIVALENT, MUTANTS, ROOT, fails, tree_copy
 
 
 def test_mutant_ids_are_distinct():
@@ -29,3 +30,15 @@ def test_each_killer_is_a_test_of_the_suite(mutant):
         path, name = killer.split("::")
         text = (ROOT / path).read_text()
         assert re.search(rf"^def {name}\(", text, re.MULTILINE), killer
+
+
+# each kill is one pytest subprocess of about 2 s, so only these two fit in
+# the suite's budget; their killers are tier-1 tests, so no unmutated run
+IN_BUDGET = ("draw-zero-constant", "peel-last-level-floor-unchecked")
+
+
+@pytest.mark.parametrize("ident", IN_BUDGET)
+def test_in_budget_mutants_are_killed(ident, tmp_path):
+    (mutant,) = [m for m in MUTANTS if m.ident == ident]
+    tree_copy(tmp_path, mutant)
+    assert fails(mutant.killers[0], tmp_path)

@@ -6,6 +6,7 @@ from conftest import reference_greedy_membership, reference_instantiate_units
 from syntomic.verifier import (
     SampleReport,
     _dense_membership,
+    _draw_units,
     _greedy_membership,
     sample_certificate,
     verify_certificate,
@@ -19,64 +20,53 @@ def test_sample_report_semantics():
 
 
 def _nonzero_terms(units):
-    """units with every zero-coefficient term left out, as the peel records
+    """units with every zero-coefficient term left out, as _draw_units draws
     them: a term with coefficient 0 does not change the series."""
-    return {j: [term for term in series if term[1]] for j, series in units.items()}
+    return [[term for term in series if term[1]] for series in units]
 
 
 def test_instantiated_units_have_nonzero_constants():
-    units = {}
-    _greedy_membership(5, 3, units, random.Random(3))
-    assert set(units) == {0, 1, 2}
-    for series in units.values():
+    units = _draw_units(5, 3, random.Random(3))
+    assert len(units) == 3
+    for series in units:
         assert series[0][0] == 0 and 1 <= series[0][1] < 5
         assert all(off > 0 and 1 <= lam < 5 for off, lam in series[1:])
 
 
 @pytest.mark.parametrize("max_tail", [0, 3, 12])
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
-def test_unit_draws_are_the_randrange_draws(p, max_tail):
+def test_unit_draws_are_the_randrange_draws(p, max_tail, monkeypatch):
     # the getrandbits rejection draws must reproduce randrange exactly, so
     # that a past certify --seed samples the same instantiations
+    monkeypatch.setattr("syntomic.verifier.MAX_TAIL", max_tail)
     for n in range(2, 9):
         bound = n * (p ** (n - 1) - p ** (n - 2))
         seed = 1000 * p + 10 * n + max_tail
         rng, ref = random.Random(seed), random.Random(seed)
         for _ in range(20):
-            units = {}
-            _greedy_membership(p, n, units, rng, max_tail)
+            units = _draw_units(p, n, rng)
             want = reference_instantiate_units(p, n, bound, ref, max_tail)
             assert units == _nonzero_terms(want)
         assert rng.getstate() == ref.getstate(), (p, n, max_tail)
 
 
-@pytest.mark.parametrize("p,max_tail", [(1, 3), (0, 3), (2, -1), (3, -5)])
-def test_unit_draws_refuse_an_empty_range(p, max_tail):
-    # a rejection loop on getrandbits(0) would never end
-    rng = random.Random(0)
-    state = rng.getstate()
-    units = {}
-    with pytest.raises(ValueError, match="empty draw range"):
-        _greedy_membership(p, 3, units, rng, max_tail)
-    assert rng.getstate() == state and units == {}
-
-
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
-def test_greedy_matches_dense_on_small_truncations(p, n):
+def test_greedy_matches_dense_on_small_truncations(p, n, monkeypatch):
     bound = n * (p ** (n - 1) - p ** (n - 2))
     assert bound <= 24  # dense elimination is affordable here
     rng = random.Random(100 * p + n)
     for max_tail in (3, 12):
+        monkeypatch.setattr("syntomic.verifier.MAX_TAIL", max_tail)
         for _ in range(30):
-            units = {}
-            ok, _ = _greedy_membership(p, n, units, rng, max_tail)
-            assert set(units) == set(range(n))
+            units = _draw_units(p, n, rng)
+            ok, _ = _greedy_membership(p, n, units)
+            assert len(units) == n
             assert ok == _dense_membership(p, n, units), (max_tail, units)
             assert ok  # membership certified, so every instantiation passes
 
 
 def test_greedy_constructs_clearing_sequences():
-    ok, clears = _greedy_membership(3, 3, {}, random.Random(7))
+    ok, clears = _greedy_membership(3, 3, _draw_units(3, 3, random.Random(7)))
     assert ok and clears >= 1
 
 
@@ -84,8 +74,8 @@ def test_degenerate_case_is_vacuously_members():
     # (2, 2): the target already sits at the truncation bound, and both
     # levels are still drawn
     rng, ref = random.Random(0), random.Random(0)
-    units = {}
-    assert _greedy_membership(2, 2, units, rng) == (True, 0)
+    units = _draw_units(2, 2, rng)
+    assert _greedy_membership(2, 2, units) == (True, 0)
     assert units == _nonzero_terms(reference_instantiate_units(2, 2, 2, ref))
     assert rng.getstate() == ref.getstate() != random.Random(0).getstate()
     assert _dense_membership(2, 2, units)
@@ -93,18 +83,19 @@ def test_degenerate_case_is_vacuously_members():
 
 @pytest.mark.parametrize("max_tail", [3, 12])
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_peel_matches_the_reference_scan(p, max_tail):
+def test_peel_matches_the_reference_scan(p, max_tail, monkeypatch):
     # every n whose truncation bound is at most about 3000: up to n = 10
     # at p = 2 (bound 2560), 7 at p = 3 (3402), 5 at p = 5, 4 at p = 7;
     # past bound 1000 the reference scan is slow, so fewer draws there.  The
     # reference scans the reference draws, zero-coefficient terms included.
+    monkeypatch.setattr("syntomic.verifier.MAX_TAIL", max_tail)
     rng, ref = random.Random(1000 * p + max_tail), random.Random(1000 * p + max_tail)
     n = 2
     while n * (p ** (n - 1) - p ** (n - 2)) <= 3500:
         bound = n * (p ** (n - 1) - p ** (n - 2))
         for _ in range(25 if bound <= 1000 else 3):
-            units = {}
-            got = _greedy_membership(p, n, units, rng, max_tail)
+            units = _draw_units(p, n, rng)
+            got = _greedy_membership(p, n, units)
             want = reference_instantiate_units(p, n, bound, ref, max_tail)
             assert units == _nonzero_terms(want)
             assert got == reference_greedy_membership(p, n, want), (n, want)
@@ -119,10 +110,10 @@ def test_heap_peel_matches_the_reference_at_benchmark_sizes(p, n):
     # peel is level by level now; the name is kept from the heap-ordered peel
     # it replaced, so this check keeps its id across that change.  At (2, 10)
     # levels 8 and 9 are empty in every sample, so the generator state shows
-    # whether the peel still draws the levels it no longer needs.
+    # whether the levels the peel never reads are still drawn.
     bound = n * (p ** (n - 1) - p ** (n - 2))
     rng, ref = random.Random(5), random.Random(5)
-    got = [_greedy_membership(p, n, {}, rng) for _ in range(20)]
+    got = [_greedy_membership(p, n, _draw_units(p, n, rng)) for _ in range(20)]
     want = [
         reference_greedy_membership(p, n, reference_instantiate_units(p, n, bound, ref))
         for _ in range(20)
@@ -132,10 +123,10 @@ def test_heap_peel_matches_the_reference_at_benchmark_sizes(p, n):
     assert rng.getstate() == ref.getstate()
 
 
-# Hand-built maps, not instantiations: negative offsets put phi images
-# below their source, outside the instantiation model.  In READDED the
-# level-1 terms at z powers 32 and 34 both reach the level-2 term at z
-# power 16.  The reference clears terms in lowest-degree order, so it
+# Hand-built maps, not instantiations, keyed by level (the peel reads only
+# units[j]): negative offsets put phi images below their source, outside
+# the instantiation model.  In READDED the level-1 terms at z powers 32
+# and 34 both reach the level-2 term at z power 16.  The reference clears terms in lowest-degree order, so it
 # clears that term before the later contribution arrives, has it re-added
 # and clears it again: 11 clears.  The level-by-level peel sums both
 # contributions first, they cancel, and the term is never cleared: 9
