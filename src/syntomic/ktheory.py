@@ -12,9 +12,7 @@ else is assumed.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .arith import require_prime
@@ -151,24 +149,20 @@ def k_even_table(p: int, n: int, i_max: int) -> KTable:
     if i_max < 0:
         raise ValueError("need i_max >= 0")
     cert = _require_verified(p, n)
-    used: set[str] = set()
-    rows = []
-    for i in range(i_max + 1):
-        if i == 0:
-            rows.append(
-                KTableRow(
-                    i=0,
-                    nonzero=True,
-                    reason=SHARP_RANGE,
-                    note="K_0 of a nonzero ring is nonzero",
-                    axioms=(),
-                )
-            )
-        elif i % (p - 1) == 0 and i <= cert["weight"]:
+    rows = [
+        KTableRow(
+            i=0,
+            nonzero=True,
+            reason=SHARP_RANGE,
+            note="K_0 of a nonzero ring is nonzero",
+            axioms=(),
+        )
+    ]
+    for i in range(1, i_max + 1):
+        if i % (p - 1) == 0 and i <= cert["weight"]:
             name = h2_name(p, i + 1)
             if name is None:
                 raise ArithmeticError(f"expected one H^2 class in weight {i + 1}")
-            used.add(HLS_CRYSTALLINITY)
             rows.append(
                 KTableRow(
                     i=i,
@@ -179,7 +173,6 @@ def k_even_table(p: int, n: int, i_max: int) -> KTable:
                 )
             )
         else:
-            used.add(HLS_SURJECTIVITY)
             rows.append(
                 KTableRow(
                     i=i,
@@ -194,7 +187,7 @@ def k_even_table(p: int, n: int, i_max: int) -> KTable:
         n=n,
         i_max=i_max,
         rows=tuple(rows),
-        axioms=axiom_catalog(used),
+        axioms=axiom_catalog({a for r in rows for a in r.axioms}),
         certificate={
             "p": cert["p"],
             "n": cert["n"],
@@ -235,31 +228,21 @@ class BoundComparison:
     prior_vanishing_from: int
     sharp_last_nonzero: int
 
-    # both thresholds in the same normal form: K_(2i) = 0 for i > value
-    @property
-    def prior_zero_above(self) -> int:
-        return self.prior_vanishing_from - 1
-
-    @property
-    def sharp_zero_above(self) -> int:
-        return self.sharp_last_nonzero
-
     @property
     def improvement(self) -> int:
-        return self.prior_zero_above - self.sharp_zero_above
+        return self.prior_vanishing_from - 1 - self.sharp_last_nonzero
 
 
 def bound_comparison(p: int, n: int) -> BoundComparison:
     """Sharp vanishing threshold versus the prior general-purpose bound.
 
     The prior bound kills K_(2i) once i - 1 >= (p/(p-1))^2 (p^n - 1); the
-    sharp table kills everything past i = (p-1) p^(n-2).  Exact rational
-    arithmetic, no floats."""
+    sharp table kills everything past i = (p-1) p^(n-2).  Integer
+    arithmetic: the ceiling is a floor division of the negated numerator."""
     require_prime(p)
     if n < 2:
         raise ValueError("need n >= 2")
-    threshold = Fraction(p, p - 1) ** 2 * (p**n - 1)
-    prior = math.ceil(threshold + 1)
+    prior = -(-p * p * (p**n - 1) // (p - 1) ** 2) + 1
     sharp = (p - 1) * p ** (n - 2)
     return BoundComparison(
         p=p, n=n, prior_vanishing_from=prior, sharp_last_nonzero=sharp

@@ -90,10 +90,6 @@ class EliminationResult:
     kernel_columns: tuple[Any, ...]  # resolved-zero columns plus in-span columns
     blocking: tuple[Any, Any] | None = None  # (column, row) stopping certification
 
-    @property
-    def kernel_dim(self) -> int:
-        return self.total_columns - self.rank
-
     def __bool__(self) -> bool:
         return self.status == CERTIFIED
 

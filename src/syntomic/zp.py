@@ -21,7 +21,6 @@ forces exact vanishing (permanent-cycle representatives, see below).
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .arith import Monomial, mono_str, require_prime
@@ -261,15 +260,13 @@ def _listing(witnesses: set[tuple[str, int]]) -> str:
     return ", ".join(f"{c} {k}" for c, k in sorted(witnesses)) or "none"
 
 
-def _witnessed(
-    sq: SquareComplex, basis: Callable[[int, int], tuple[NamedClass, ...]]
-) -> CohomologyReport:
-    """Certified cohomology of sq with the named basis as generators, or fail
-    loudly unless the names are exactly the certified witnesses, once each."""
+def _witnessed(sq: SquareComplex, names: tuple[NamedClass, ...]) -> CohomologyReport:
+    """Certified cohomology of sq with the named classes as generators, or
+    fail loudly unless the names are exactly the certified witnesses, once
+    each."""
     rep = square_cohomology(sq)
     if rep.status != CERTIFIED:
         return rep
-    names = basis(sq.p, sq.weight)
     named = {c.witness for c in names}
     found = _witnesses(sq, rep)
     if named != found or len(names) != sum(rep.dims):
@@ -284,7 +281,7 @@ def _witnessed(
 
 def zp_cohomology(p: int, i: int, extra: int = 0) -> CohomologyReport:
     """Certified dims plus named generators for the weight-i square."""
-    return _witnessed(build_zp_square(p, i, extra), named_basis)
+    return _witnessed(build_zp_square(p, i, extra), named_basis(p, i))
 
 
 def mod_v1_square(p: int, i: int) -> SquareComplex:
@@ -317,4 +314,4 @@ def mod_v1_named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
 
 
 def mod_v1_cohomology(p: int, i: int) -> CohomologyReport:
-    return _witnessed(mod_v1_square(p, i), mod_v1_named_basis)
+    return _witnessed(mod_v1_square(p, i), mod_v1_named_basis(p, i))

@@ -4,23 +4,25 @@ every test named as its killer must then fail.
     python tests/mutants.py
 
 The harness copies src/, tests/ and pyproject.toml into a temporary
-directory and runs `python -m pytest -x -q <killer>` there, one subprocess
-per killer and one at a time.  It first runs every killer on an unmutated
-copy and exits 2 if one fails there, since such a killer would count every
-mutant it guards as killed.  Then, for each mutant, it replaces the old
-snippet by the new one in a fresh copy and runs the mutant's killers.  A
-killer that passes lets the mutant survive; the run prints every verdict
-and exits 1 if any mutant survived.  Standard library only.
+directory and runs pytest there.  It first runs every killer on an
+unmutated copy in one pytest process and exits 2, with pytest's own
+summary naming the culprit, if one fails there, since such a killer would
+count every mutant it guards as killed.  Then, for each mutant, it replaces
+the old snippet by the new one in a fresh copy and runs the mutant's
+killers, one `python -m pytest -x -q <killer>` subprocess each, one at a
+time.  A killer that passes lets the mutant survive; the run prints every
+verdict and exits 1 if any mutant survived.  Standard library only.
 
-The tier-1 suite runs only the drift check in tests/test_mutants.py: each
-old snippet occurs exactly once in its file, and each killer names a test
-that exists.  A mutant whose snippet no longer exists is re-targeted, never
-dropped.
+The tier-1 suite runs the drift check in tests/test_mutants.py (each old
+snippet occurs exactly once in its file, and each killer names a test that
+exists) and the two kills that fit its budget.  A mutant whose snippet no
+longer exists is re-targeted, never dropped.
 
-EQUIVALENT lists the known survivors: changes that no test can kill
-because they change no result the program reports, each with its reason.
-The harness does not run them; the drift check keeps their snippets
-current, so that nobody rediscovers them.
+EQUIVALENT lists changes that alter no result the program reports, each
+with its reason: some no test can kill, and some only a test that compares
+the built square with a copy or with literals.  The harness does not run
+them; the drift check keeps their snippets current, so that nobody
+rediscovers them.
 """
 
 from __future__ import annotations
@@ -91,6 +93,10 @@ BOTT_TOWER = _KTHEORY + "test_nonzero_set_matches_bott_tower"
 H2_LITERALS = _KTHEORY + "test_h2_name_literals"
 ROW_NOTES = _KTHEORY + "test_row_notes_name_the_named_basis_class"
 H2_WHERE_CERTIFIED = _KTHEORY + "test_h2_name_exactly_where_h2_is_certified"
+ROW_AXIOMS = _KTHEORY + "test_row_reasons_and_axiom_tags"
+BOUND_VALUES = _KTHEORY + "test_bound_comparison_values"
+RATIONAL_CEILING = _KTHEORY + "test_prior_bound_is_the_rational_ceiling"
+NOTES_GOLDEN = "tests/test_cli.py::test_ktable_notes_golden"
 _VERIFIER = "tests/test_verifier.py::"
 NONZERO_CONSTANTS = _VERIFIER + "test_instantiated_units_have_nonzero_constants"
 RANDRANGE_DRAWS = _VERIFIER + "test_unit_draws_are_the_randrange_draws"
@@ -289,6 +295,20 @@ MUTANTS = (
         'i <= cert["weight"] + p - 1',
         (CRITERION_4, CRITERION_5, BOTT_TOWER),
     ),
+    Mutant(
+        "ktable-axioms-not-read-off-rows",
+        "ktheory.py",
+        "axiom_catalog({a for r in rows for a in r.axioms})",
+        "axiom_catalog(set())",
+        (ROW_AXIOMS, NOTES_GOLDEN),
+    ),
+    Mutant(
+        "prior-bound-floored",
+        "ktheory.py",
+        "prior = -(-p * p * (p**n - 1) // (p - 1) ** 2) + 1",
+        "prior = p * p * (p**n - 1) // (p - 1) ** 2 + 1",
+        (RATIONAL_CEILING, BOUND_VALUES),
+    ),
     # criterion 5 cannot kill this one: its expected names come from h2_name
     Mutant(
         "h2-name-bott-power-high",
@@ -299,6 +319,15 @@ MUTANTS = (
     ),
 )
 
+
+# the reason of each builder mutant that only changes a nonzero residue
+_NO_RESIDUE_VALUE = (
+    "certification reads no residue value: with every explicit residue of a "
+    "square replaced by UNIT_ENTRY, test_certification_reads_no_residue_value "
+    "finds the same report and witnesses on 1428 squares, so a wrong nonzero "
+    "residue changes no certified claim; only the copied reference builder "
+    "and the literals of test_exact_zero_columns see it"
+)
 
 EQUIVALENT = (
     Equivalent(
@@ -339,6 +368,20 @@ EQUIVALENT = (
         "witness and named generator is unchanged; at i <= 3p the corner-size "
         "and truncation tests pin the window, so only i > 3p is listed",
     ),
+    Equivalent(
+        "nabla-bot-coefficient-one",
+        "zp.py",
+        "{br_row[m]: m % p}",
+        "{br_row[m]: 1}",
+        _NO_RESIDUE_VALUE,
+    ),
+    Equivalent(
+        "phi-term-plus-one",
+        "zp.py",
+        "    minus_one = p - 1\n",
+        "    minus_one = 1\n",
+        _NO_RESIDUE_VALUE,
+    ),
 )
 
 
@@ -358,15 +401,20 @@ def tree_copy(dest: Path, mutant: Mutant | None = None) -> None:
     target.write_text(text.replace(mutant.old, mutant.new))
 
 
-def fails(killer: str, copy: Path) -> bool:
-    """Whether the killer fails on the copy."""
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", killer],
+def pytest_run(copy: Path, *args: str) -> subprocess.CompletedProcess:
+    """One quiet pytest process in the copy, its output captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
         cwd=copy,
         env={**os.environ, "PYTHONPATH": str(copy / "src")},
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
     )
+
+
+def fails(killer: str, copy: Path) -> bool:
+    """Whether the killer fails on the copy."""
+    run = pytest_run(copy, "-x", killer)
     if run.returncode not in (0, 1):  # 2+: interrupted, usage or collection error
         raise RuntimeError(f"{killer}: pytest exited {run.returncode}")
     return run.returncode == 1
@@ -376,10 +424,11 @@ def main() -> int:
     killers = sorted({k for m in MUTANTS for k in m.killers})
     with tempfile.TemporaryDirectory(prefix="syntomic-unmutated-") as tmp:
         tree_copy(Path(tmp))
-        failing = [k for k in killers if fails(k, Path(tmp))]
-    if failing:  # such a killer would report every mutant it guards as killed
-        for killer in failing:
-            print(f"fails without a mutant: {killer}", file=sys.stderr)
+        run = pytest_run(Path(tmp), *killers)
+    if run.returncode:
+        # a killer failing here would count every mutant it guards as killed;
+        # pytest's own summary names it
+        sys.stderr.write(run.stdout + run.stderr)
         return 2
     survivors = []
     for mutant in MUTANTS:

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 from dataclasses import replace
+from fractions import Fraction
+from math import ceil
 
 import pytest
 from conftest import reference_table_json
@@ -251,9 +253,6 @@ def test_bound_comparison_values(p, n, prior, sharp):
     cmpd = bound_comparison(p, n)
     assert cmpd.prior_vanishing_from == prior
     assert cmpd.sharp_last_nonzero == sharp
-    # same normal form for both: zero strictly above the stated index
-    assert cmpd.prior_zero_above == prior - 1
-    assert cmpd.sharp_zero_above == sharp
     assert cmpd.improvement == prior - 1 - sharp
 
 
@@ -263,6 +262,16 @@ def test_sharp_bound_always_improves():
             cmpd = bound_comparison(p, n)
             assert cmpd.sharp_last_nonzero < cmpd.prior_vanishing_from - 1
             assert cmpd.improvement > 0
+
+
+@pytest.mark.parametrize(
+    "p", [p for p in range(2, 300) if all(p % d for d in range(2, p))]
+)
+def test_prior_bound_is_the_rational_ceiling(p):
+    # the prior bound as stated: the least i with i - 1 >= (p/(p-1))^2 (p^n - 1)
+    for n in range(2, 61):
+        expected = ceil(Fraction(p, p - 1) ** 2 * (p**n - 1) + 1)
+        assert bound_comparison(p, n).prior_vanishing_from == expected, n
 
 
 def test_json_serialization_round_trips():

@@ -23,6 +23,7 @@ from syntomic.linalg import (
     CERTIFIED,
     TL,
     TR,
+    UNIT_ENTRY,
     WindowCutoffs,
     certified_eliminate,
     euler_characteristic,
@@ -70,6 +71,8 @@ def test_builder_rejects_bad_input():
         build_zp_square(3, -1)
     with pytest.raises(ValueError):
         build_zp_square(3, 1, extra=-1)
+    with pytest.raises(ValueError, match="weight must be >= 0"):
+        mod_v1_square(3, -1)
 
 
 def test_builder_matches_the_windowed_reference(monkeypatch):
@@ -487,6 +490,38 @@ def test_known_square_identity_on_grid():
     for p in (2, 3, 5):
         for i in range(2 * p + 2):
             assert known_square_identity_holds(mod_v1_square(p, i)), (p, i)
+
+
+def _unit_weakened(sq):
+    """sq with every explicit residue of d0 and d1 replaced by UNIT_ENTRY."""
+
+    def weak(columns):
+        return {
+            key: ({r: UNIT_ENTRY for r in terms}, tails)
+            for key, (terms, tails) in columns.items()
+        }
+
+    return replace(sq, d0=weak(sq.d0), d1=weak(sq.d1))
+
+
+def test_certification_reads_no_residue_value():
+    # only zero against nonzero matters: a square whose residues are all
+    # weakened to "some unit" gives the same report and witnesses, so no
+    # wrong nonzero residue can change a certified claim (1428 squares,
+    # 1.0-1.6 s on one core)
+    squares = [
+        build_zp_square(p, i, extra)
+        for p in PRIMES
+        for extra in range(4)
+        for i in range((30 if extra == 0 else 8) * p)
+    ] + [mod_v1_square(p, i) for p in PRIMES for i in range(30 * p)]
+    assert len(squares) == 1428
+    for sq in squares:
+        rep = square_cohomology(sq)
+        weak = _unit_weakened(sq)
+        weak_rep = square_cohomology(weak)
+        assert weak_rep == rep, (sq.p, sq.weight)
+        assert zp._witnesses(weak, weak_rep) == zp._witnesses(sq, rep)
 
 
 def test_exact_zero_columns():
