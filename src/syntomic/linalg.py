@@ -302,34 +302,32 @@ TL, TR, BL, BR = "TL", "TR", "BL", "BR"  # corner tags
 class SquareComplex:
     """A filtration-truncated twisted de Rham square in one weight.
 
-    Corners are finite graded bases: tuples of (index, filtration degree).
-    The total complex is held as its two differentials, graded columns keyed
-    by (corner, index) with rows (corner, degree) over the target corners:
-    d0 = (nabla_top, v_left) : TL -> TR + BL has a column (TL, k) with its
-    nabla_top part on TR rows and its v_left part on BL rows, and
-    d1(x, y) = v_right(x) - nabla_bot(y) : TR + BL -> BR has the columns
-    (TR, k) of v_right, then (BL, m) of nabla_bot, all on BR rows.  The
-    nabla_bot columns are stored unnegated: scaling a column by the unit -1
-    moves no pivot, kernel column or blocking entry.  square_rows gives the
-    row order of each.
+    Each basis element has one key, (corner, filtration degree).  The total
+    complex is held as its two differentials, graded columns over the
+    target corners' rows: d0 = (nabla_top, v_left) : TL -> TR + BL has one
+    column per TL element, and d1(x, y) = v_right(x) - nabla_bot(y) :
+    TR + BL -> BR one per TR element, then one per BL element; within a
+    corner the columns come in ascending degree.  The keys of d1 are the
+    rows of d0, and br holds the BR row keys in degree order, the tuples
+    that the terms of d1 use.  The nabla_bot columns are stored unnegated:
+    scaling a column by the unit -1 moves no pivot, kernel column or
+    blocking entry.  square_rows gives the row order of each.
 
-    bl_in_span marks bottom-left indices m whose nabla_bot column is a known
-    combination of the other d1 columns (the square identity applied to the
-    top-left element recorded as the value).
+    bl_in_span maps each BL key whose nabla_bot column is a known
+    combination of the other d1 columns to its TL partner key (the square
+    identity applied to that top-left element).
     """
 
     p: int
     weight: int
-    tl: tuple[tuple[int, int], ...]
-    tr: tuple[tuple[int, int], ...]
-    bl: tuple[tuple[int, int], ...]
-    br: tuple[tuple[int, int], ...]
-    d0: dict[tuple[str, int], Column]
-    d1: dict[tuple[str, int], Column]
-    bl_in_span: dict[int, int] = field(default_factory=dict)
+    d0: dict[Row, Column]
+    d1: dict[Row, Column]
+    br: tuple[Row, ...]
+    bl_in_span: dict[Row, Row] = field(default_factory=dict)
 
     def corner_sizes(self) -> tuple[int, int, int, int]:
-        return (len(self.tl), len(self.tr), len(self.bl), len(self.br))
+        ntr = sum(corner == TR for corner, _ in self.d1)
+        return (len(self.d0), ntr, len(self.d1) - ntr, len(self.br))
 
 
 def euler_characteristic(sq: SquareComplex) -> int:
@@ -360,10 +358,10 @@ class CohomologyReport:
 
 
 def square_rows(sq: SquareComplex) -> tuple[list[Row], list[Row]]:
-    """The row orders of d0 and d1: the TR and BL rows by degree, a TR row
-    before a BL row of equal degree, then the BR rows by degree."""
-    rows = [(TR, d) for _, d in sq.tr] + [(BL, d) for _, d in sq.bl]
-    return sorted(rows, key=itemgetter(1)), sorted((BR, d) for _, d in sq.br)
+    """The row orders of d0 and d1: the keys of d1 by degree, a TR key
+    before a BL key of equal degree (the stable sort keeps d1's order),
+    then the BR rows.  Both are the square's own key tuples."""
+    return sorted(sq.d1, key=itemgetter(1)), list(sq.br)
 
 
 def square_cohomology(sq: SquareComplex) -> CohomologyReport:
@@ -371,11 +369,9 @@ def square_cohomology(sq: SquareComplex) -> CohomologyReport:
     p = sq.p
     rows0, rows1 = square_rows(sq)
     elim0 = certified_eliminate(sq.d0, rows0, p)
-    elim1 = certified_eliminate(
-        sq.d1, rows1, p, in_span=[(BL, m) for m in sq.bl_in_span]
-    )
+    elim1 = certified_eliminate(sq.d1, rows1, p, in_span=sq.bl_in_span)
 
-    nt, ntr, nbl, nbr = sq.corner_sizes()
+    nt, ntr, nbl, nbr = sizes = sq.corner_sizes()
     status = CERTIFIED if (elim0 and elim1) else INDETERMINATE
     if status == CERTIFIED:
         h0 = nt - elim0.rank
@@ -393,7 +389,7 @@ def square_cohomology(sq: SquareComplex) -> CohomologyReport:
         h1=h1,
         h2=h2,
         euler=euler_characteristic(sq),
-        corner_sizes=sq.corner_sizes(),
+        corner_sizes=sizes,
         d0=elim0,
         d1=elim1,
     )
@@ -424,39 +420,43 @@ def verify_truncation(sq: SquareComplex, cutoffs: WindowCutoffs) -> TruncationCh
 
     The columns are read as square_cohomology reads them: a malformed one
     raises the same ValueError, naming its (corner, degree) row.  Every
-    beyond-cutoff column must land entirely beyond the partner cutoff, and
-    the horizontal (can minus frobenius) ones keep their exact unit leading
-    terms, on consecutive degrees from right above the partner cutoff.  As
-    leading degrees grow linearly in the basis index while the margin is
-    arbitrary, enlarging the window then only adds columns reducible against
-    each other, so the reported dimensions are stable.
+    column of an element above its corner's cutoff must land entirely
+    beyond the partner cutoff, and the horizontal (can minus frobenius) ones
+    keep their exact unit leading terms, on consecutive degrees from right
+    above the partner cutoff.  As leading degrees grow linearly in the
+    element's degree while the margin is arbitrary, enlarging the window
+    then only adds columns reducible against each other, so the reported
+    dimensions are stable.
     """
     for columns, rows in zip((sq.d0, sq.d1), square_rows(sq)):
         _check(columns, rows, sq.p)
     graded = sq.d0 | sq.d1
-    corners = {TR: sq.tr, BL: sq.bl, BR: sq.br}
+    rows = [*sq.d1, *sq.br]  # every row key of either differential
 
-    def lowest(c: tuple[str, int], tag: str) -> int | None:
+    def lowest(c: Row, tag: str) -> int | None:
         """The lowest degree of a row on tag where column c has an entry."""
         terms, tails = graded[c]
         lead = min((d for t, d in terms if t == tag), default=None)
         if lead is not None:
             return lead  # explicit terms sit below their corner's tail
         start = tails.get(tag, inf)
-        return min((d for _, d in corners[tag] if d >= start), default=None)
+        return min((d for t, d in rows if t == tag and d >= start), default=None)
+
+    def beyond(corner: str, cut: int) -> list[Row]:
+        """The columns of corner above its cutoff, in ascending degree."""
+        return [c for c in graded if c[0] == corner and c[1] > cut]
 
     def fail(col: tuple[Any, ...], why: str) -> TruncationCheck:
         return TruncationCheck(False, col, why)
 
-    for corner, basis, cut, tag, partner in (  # horizontal: TL -> BL, TR -> BR
-        (TL, sq.tl, cutoffs.tl, BL, cutoffs.bl),
-        (TR, sq.tr, cutoffs.tr, BR, cutoffs.br),
+    for corner, cut, tag, partner in (  # horizontal: TL -> BL, TR -> BR
+        (TL, cutoffs.tl, BL, cutoffs.bl),
+        (TR, cutoffs.tr, BR, cutoffs.br),
     ):
         leads = []
-        for k, deg in sorted(basis, key=itemgetter(1)):
-            c = (corner, k)
-            lead = lowest(c, tag) if deg > cut else None
-            if deg <= cut or (lead is None and corner == TR):
+        for c in beyond(corner, cut):
+            lead = lowest(c, tag)
+            if lead is None and corner == TR:
                 continue  # a TR image wholly beyond the extended window is harmless
             if lead is None or graded[c][0].get((tag, lead)) != 1:
                 return fail(c, "beyond column lost its exact unit leading term")
@@ -466,12 +466,12 @@ def verify_truncation(sq: SquareComplex, cutoffs: WindowCutoffs) -> TruncationCh
         if leads != list(range(partner + 1, partner + 1 + len(leads))):
             return fail((corner,), "beyond leading degrees are not consecutive")
 
-    for corner, basis, cut, tag, partner, why in (  # vertical: TL -> TR, BL -> BR
-        (TL, sq.tl, cutoffs.tl, TR, cutoffs.tr, "vertical image"),
-        (BL, sq.bl, cutoffs.bl, BR, cutoffs.br, "image"),
+    for corner, cut, tag, partner, why in (  # vertical: TL -> TR, BL -> BR
+        (TL, cutoffs.tl, TR, cutoffs.tr, "vertical image"),
+        (BL, cutoffs.bl, BR, cutoffs.br, "image"),
     ):
-        for k, deg in basis:
-            lead = lowest((corner, k), tag) if deg > cut else None
+        for c in beyond(corner, cut):
+            lead = lowest(c, tag)
             if lead is not None and lead <= partner:
-                return fail((corner, k), f"{why} enters the baseline window")
+                return fail(c, f"{why} enters the baseline window")
     return TruncationCheck(True, None, "stable")

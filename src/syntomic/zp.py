@@ -60,14 +60,10 @@ def _square(p: int, i: int, window: WindowCutoffs) -> SquareComplex:
     corner's top, and each differential is cut at the top of its target
     corner.  Every column is written once, from its formula, as the graded
     column the eliminator reads: at most two exact terms, then an unknown
-    tail.  Each row is one tuple per square, shared by every column with a
-    term on it.
+    tail.  Each BL and BR key is one tuple per square, shared by every
+    column with a term on it and, on BL, by the column it names.
     """
-    tl = tuple((k, k + i) for k in range(window.tl - i + 1))
-    tr = tuple((k, k + i - 1) for k in range(1, window.tr - i + 2))
-    bl = tuple((m, m) for m in range(window.bl + 1))
-    br = tuple((d, d) for d in range(1, window.br + 1))
-    bl_row = [(BL, d) for d in range(window.bl + 1)]  # the row of each degree
+    bl_row = [(BL, d) for d in range(window.bl + 1)]  # the key of each degree
     br_row = [(BR, d) for d in range(window.br + 1)]
     minus_one = p - 1
 
@@ -83,39 +79,40 @@ def _square(p: int, i: int, window: WindowCutoffs) -> SquareComplex:
         return terms
 
     d0: dict[tuple[str, int], Column] = {}
-    for k, _ in tl:
-        # can lands on z^(k+i), phi on z^(pk), both exact
-        if k + i == p * k:
-            # k (p-1) = i: can and phi cancel, and z^k E^i t^-i represents the
-            # k-th power of the weight-(p-1) Bott class, a permanent cycle with
-            # an exact cocycle representative, so its vertical image is zero
-            # on the nose, not merely modulo the window
-            d0[TL, k] = ({}, {})
+    for d in range(i, window.tl + 1):
+        # z^(d-i) E^i t^-i: can lands on z^d, phi on z^(p(d-i)), both exact
+        if d == p * (d - i):
+            # (d-i)(p-1) = i: can and phi cancel, and the element represents
+            # the (d-i)-th power of the weight-(p-1) Bott class, a permanent
+            # cycle with an exact cocycle representative, so its vertical
+            # image is zero on the nose, not merely modulo the window
+            d0[TL, d] = ({}, {})
             continue
-        d0[TL, k] = (
-            can_minus_phi(k + i, p * k, window.bl, bl_row),
-            {TR: k + i} if k + i <= window.tr else {},
+        d0[TL, d] = (
+            can_minus_phi(d, p * (d - i), window.bl, bl_row),
+            {TR: d} if d <= window.tr else {},
         )
 
     d1: dict[tuple[str, int], Column] = {}
-    for k, _ in tr:
-        # can is exact at z^(k+i-2) nabla z; the twisted frobenius leads at
-        # z^(pk-1) nabla z with remainder strictly above, so the tail starts
+    for d in range(i, window.tr + 1):
+        # can is exact at z^(d-1) nabla z; the twisted frobenius leads at
+        # z^(phi-1) nabla z with remainder strictly above, so the tail starts
         # right after the frobenius degree (and may swallow the can term)
-        d1[TR, k] = (
-            can_minus_phi(k + i - 1, p * k, min(p * k, window.br), br_row),
-            {BR: p * k + 1} if p * k < window.br else {},
+        phi = p * (d - i + 1)
+        d1[TR, d] = (
+            can_minus_phi(d, phi, min(phi, window.br), br_row),
+            {BR: phi + 1} if phi < window.br else {},
         )
 
-    bl_in_span: dict[int, int] = {}
+    bl_in_span: dict[tuple[str, int], tuple[str, int]] = {}
     bott = i // (p - 1) if i % (p - 1) == 0 else None
-    for m, _ in bl:
+    for m, key in enumerate(bl_row):
         if m == 0 or (bott is not None and m == p * bott):
             # z^(p k0) t^-i represents del times the k0-th Bott power, a
             # permanent cycle: its differential vanishes exactly, like d(1)
-            d1[BL, m] = ({}, {})
+            d1[key] = ({}, {})
             continue
-        d1[BL, m] = (
+        d1[key] = (
             {br_row[m]: m % p} if m % p and m <= window.br else {},
             {BR: m + 1} if m < window.br else {},
         )
@@ -125,10 +122,10 @@ def _square(p: int, i: int, window: WindowCutoffs) -> SquareComplex:
             # nabla_bot(z^(k+i)) minus v_right applied to the vertical tail
             if k + i > window.tl or k + i > window.bl:
                 raise ArithmeticError("in-span partner escapes the window")
-            bl_in_span[m] = k
+            bl_in_span[key] = (TL, k + i)
 
     return SquareComplex(
-        p=p, weight=i, tl=tl, tr=tr, bl=bl, br=br, d0=d0, d1=d1, bl_in_span=bl_in_span
+        p=p, weight=i, d0=d0, d1=d1, br=tuple(br_row[1:]), bl_in_span=bl_in_span
     )
 
 
@@ -153,15 +150,15 @@ def build_zp_square(p: int, i: int, extra: int = 0) -> SquareComplex:
 
 
 def _monomial(i: int, witness: tuple[str, int]) -> Monomial:
-    """The basis monomial of the weight-i square at a (corner, index) witness."""
-    corner, k = witness
+    """The basis monomial of the weight-i square at a (corner, degree) key."""
+    corner, d = witness
     if corner == TL:
-        return Monomial(e_pow=i, z_pow=k, twist=i)
+        return Monomial(e_pow=i, z_pow=d - i, twist=i)
     if corner == TR:
-        return Monomial(e_pow=i - 1, z_pow=k - 1, nabla=True, twist=i)
+        return Monomial(e_pow=i - 1, z_pow=d - i, nabla=True, twist=i)
     if corner == BL:
-        return Monomial(z_pow=k, twist=i)
-    return Monomial(z_pow=k - 1, nabla=True, twist=i)
+        return Monomial(z_pow=d, twist=i)
+    return Monomial(z_pow=d - 1, nabla=True, twist=i)
 
 
 _DEGREE = {TL: 0, TR: 1, BL: 1, BR: 2}
@@ -169,8 +166,9 @@ _DEGREE = {TL: 0, TR: 1, BL: 1, BR: 2}
 
 @dataclass(frozen=True)
 class NamedClass:
-    """A cohomology class with its standard name and the (corner, index)
-    witness of the certified elimination it stands for."""
+    """A cohomology class with its standard name and the witness of the
+    certified elimination it stands for: a (corner, filtration degree) key
+    of the weight's square."""
 
     name: str
     weight: int
@@ -214,7 +212,7 @@ def _classes(p: int, i: int) -> list[tuple[int, NamedClass]]:
 
     if i % (p - 1) == 0:
         k0 = i // (p - 1)
-        add(k0, "", (TL, k0))
+        add(k0, "", (TL, k0 + i))
         add(k0, "del", (BL, p * k0))
     if i >= 1:
         j = (i - 1) % (p - 1) + 1
@@ -223,7 +221,7 @@ def _classes(p: int, i: int) -> list[tuple[int, NamedClass]]:
     h2 = h2_name(p, i)
     if h2 is not None:
         kap = (i - p) // (p - 1)
-        add(kap, "lambda1", (TR, kap + 1))
+        add(kap, "lambda1", (TR, kap + i))
         out.append((kap, NamedClass(h2, i, (BR, p * (kap + 1)))))
     return out
 
@@ -232,27 +230,24 @@ def named_basis(p: int, i: int) -> tuple[NamedClass, ...]:
     """The standard generators in weight i: each a closed-form name on the
     witness of its certified class in the weight-i square.
 
-    h0: the Bott power v1^k0 at (p-1) | i, on TL column k0.  h1: one
+    h0: the Bott power v1^k0 at (p-1) | i, on TL degree i + k0.  h1: one
     divided-power class v1^k gamma_j (j the weight of the bare class) on BL
-    column j + pk; del v1^k0 on BL column p k0 when (p-1) | i; and
-    v1^kap lambda1 on TR column kap+1 when i = p + kap (p-1).  h2:
-    del lambda1 v1^kap on BR row p (kap+1), in the same weights.
+    degree j + pk; del v1^k0 on BL degree p k0 when (p-1) | i; and
+    v1^kap lambda1 on TR degree i + kap when i = p + kap (p-1).  h2:
+    del lambda1 v1^kap on BR degree p (kap+1), in the same weights.
     """
     return tuple(c for _, c in _classes(p, i))
 
 
 def _witnesses(sq: SquareComplex, rep: CohomologyReport) -> set[tuple[str, int]]:
-    """The witness of every certified class of sq: the d0 kernel columns
-    (h0), the d1 kernel columns whose own TR/BL row no d0 pivot hits (h1),
-    and the BR rows no d1 pivot hits (h2)."""
+    """The witness of every certified class of sq, each a key of sq: the d0
+    kernel columns (h0), the d1 kernel columns that are no d0 pivot row
+    (h1), and the BR rows no d1 pivot hits (h2)."""
     boundary = {r for r, _ in rep.d0.pivots}
-    hit = {d for (_, d), _ in rep.d1.pivots}
-    degree = {TR: dict(sq.tr), BL: dict(sq.bl)}  # index -> degree per corner
+    hit = {r for r, _ in rep.d1.pivots}
     out = set(rep.d0.kernel_columns)
-    for corner, k in rep.d1.kernel_columns:
-        if (corner, degree[corner][k]) not in boundary:
-            out.add((corner, k))
-    out.update((BR, d) for _, d in sq.br if d not in hit)
+    out.update(c for c in rep.d1.kernel_columns if c not in boundary)
+    out.update(r for r in sq.br if r not in hit)
     return out
 
 
@@ -305,7 +300,7 @@ def mod_v1_square(p: int, i: int) -> SquareComplex:
     sq = _square(p, i, window)
     # at weight p-1 the square identity on E^i expresses the z^(p-1) column
     # through the right-hand columns, since nabla_bot(1) = 0 exactly
-    return replace(sq, bl_in_span={p - 1: 0}) if i == p - 1 else sq
+    return replace(sq, bl_in_span={(BL, p - 1): (TL, p - 1)}) if i == p - 1 else sq
 
 
 def mod_v1_named_basis(p: int, i: int) -> tuple[NamedClass, ...]:

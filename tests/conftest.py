@@ -24,6 +24,7 @@ Series is the suite's authoring type for one map entry of a square; graded
 writes {column: {corner: Series}} as the engine's graded columns, and
 square_map and with_map_entry read and replace one of a square's four maps
 as the restriction of its differentials to one target corner.
+corner_degrees reads the degrees of one corner's basis off a square's keys.
 """
 
 import json
@@ -93,8 +94,15 @@ def _restricted(column, tag) -> Series:
     return Series(tuple(found), tails.get(tag))
 
 
+def corner_degrees(sq, corner) -> list[int]:
+    """The filtration degrees of a square's basis on one corner, ascending:
+    TL from the keys of d0, TR and BL from those of d1, BR from its rows."""
+    keys = {"TL": sq.d0, "TR": sq.d1, "BL": sq.d1}.get(corner, sq.br)
+    return [d for c, d in keys if c == corner]
+
+
 def square_map(sq, name) -> dict:
-    """One map of a square as {source index: Series}: each column of its
+    """One map of a square as {source degree: Series}: each column of its
     differential on the source corner, restricted to the target corner's
     rows, terms in degree order."""
     diff, source, target = MAPS[name]
@@ -107,8 +115,8 @@ def square_map(sq, name) -> dict:
 
 def with_map_entry(sq, name, k, series):
     """sq with one entry of one map replaced: the column (source, k) of its
-    differential keeps what it has on other corners and takes the series on
-    the target corner."""
+    differential, k a degree, keeps what it has on other corners and takes
+    the series on the target corner."""
     diff, source, target = MAPS[name]
     columns = getattr(sq, diff)
     terms, tails = columns[source, k]
@@ -277,15 +285,15 @@ def instantiate_square(sq, rng):
     complex, only a member of the modeled family.
     """
     p = sq.p
-    tr_degs = [d for _, d in sq.tr]
-    bl_degs = [d for _, d in sq.bl]
-    br_degs = [d for _, d in sq.br]
+    tr_degs = corner_degrees(sq, "TR")
+    bl_degs = corner_degrees(sq, "BL")
+    br_degs = corner_degrees(sq, "BR")
     nabla_top, v_left = square_map(sq, "nabla_top"), square_map(sq, "v_left")
     v_right, nabla_bot = square_map(sq, "v_right"), square_map(sq, "nabla_bot")
 
     top = {}
     left = {}
-    for k, _ in sq.tl:
+    for k in corner_degrees(sq, "TL"):
         top[k] = {
             d: _value(s, p, rng)
             for d, s in materialize(nabla_top[k], tr_degs).items()
@@ -295,7 +303,7 @@ def instantiate_square(sq, rng):
             for d, s in materialize(v_left[k], bl_degs).items()
         }
     right = {}
-    for k, _ in sq.tr:
+    for k in tr_degs:
         right[k] = {
             d: _value(s, p, rng)
             for d, s in materialize(v_right[k], br_degs).items()
@@ -309,17 +317,17 @@ def instantiate_square(sq, rng):
             return bot[m]
         assert m not in busy, "in-span derivation cycled"
         busy.add(m)
-        if m not in sq.bl_in_span:
+        if ("BL", m) not in sq.bl_in_span:
             bot[m] = {
                 d: _value(s, p, rng)
                 for d, s in materialize(nabla_bot[m], br_degs).items()
             }
             return bot[m]
-        k = sq.bl_in_span[m]
+        _, k = sq.bl_in_span["BL", m]
         # v_right(nabla_top(x)) = nabla_bot(v_left(x)) solved for the m entry
         acc = {}
-        for kk, ddeg in sq.tr:
-            c = top[k].get(ddeg, 0)
+        for kk in tr_degs:
+            c = top[k].get(kk, 0)
             if c == 0:
                 continue
             for d, v in right[kk].items():
@@ -336,16 +344,16 @@ def instantiate_square(sq, rng):
         bot[m] = {d: v * inv % p for d, v in acc.items() if v % p}
         return bot[m]
 
-    for m, _ in sq.bl:
+    for m in bl_degs:
         bot_col(m)
 
     cols0 = []
-    for k, _ in sq.tl:
+    for k in top:
         col = {("TR", d): v for d, v in top[k].items() if v}
         col.update({("BL", d): v for d, v in left[k].items() if v})
         cols0.append(col)
-    cols1 = [dict(right[k]) for k, _ in sq.tr]
-    cols1 += [dict(bot[m]) for m, _ in sq.bl]
+    cols1 = [dict(right[k]) for k in tr_degs]
+    cols1 += [dict(bot[m]) for m in bl_degs]
     return cols0, cols1
 
 
@@ -401,7 +409,8 @@ def reference_square(p: int, i: int, window: WindowCutoffs) -> SquareComplex:
 
     Each corner keeps its basis elements of filtration degree at most the
     corner's top, and each differential is cut at the top of its target
-    corner.
+    corner.  The formulas run over each corner's (index, degree) pairs, and
+    every key is written as (corner, degree).
     """
     tl = tuple((k, k + i) for k in range(window.tl - i + 1))
     tr = tuple((k, k + i - 1) for k in range(1, window.tr - i + 2))
@@ -435,7 +444,7 @@ def reference_square(p: int, i: int, window: WindowCutoffs) -> SquareComplex:
         )
 
     nabla_bot: dict[int, Series] = {}
-    bl_in_span: dict[int, int] = {}
+    bl_in_span: dict[tuple[str, int], tuple[str, int]] = {}
     bott = i // (p - 1) if i % (p - 1) == 0 else None
     for m, _ in bl:
         if m == 0 or (bott is not None and m == p * bott):
@@ -452,24 +461,21 @@ def reference_square(p: int, i: int, window: WindowCutoffs) -> SquareComplex:
             # nabla_bot(z^(k+i)) minus v_right applied to the vertical tail
             if k + i > window.tl or k + i > window.bl:
                 raise ArithmeticError("in-span partner escapes the window")
-            bl_in_span[m] = k
+            bl_in_span["BL", m] = ("TL", k + i)
 
     d0 = graded(
-        {("TL", k): {"TR": nabla_top[k], "BL": v_left[k]} for k, _ in tl}
+        {("TL", deg): {"TR": nabla_top[k], "BL": v_left[k]} for k, deg in tl}
     )
     d1 = graded(
-        {("TR", k): {"BR": v_right[k]} for k, _ in tr}
-        | {("BL", m): {"BR": nabla_bot[m]} for m, _ in bl}
+        {("TR", deg): {"BR": v_right[k]} for k, deg in tr}
+        | {("BL", deg): {"BR": nabla_bot[m]} for m, deg in bl}
     )
     return SquareComplex(
         p=p,
         weight=i,
-        tl=tl,
-        tr=tr,
-        bl=bl,
-        br=br,
         d0=d0,
         d1=d1,
+        br=tuple(("BR", deg) for _, deg in br),
         bl_in_span=bl_in_span,
     )
 
@@ -490,11 +496,11 @@ def known_square_identity_holds(sq) -> bool:
     p = sq.p
     nabla_top, v_left = square_map(sq, "nabla_top"), square_map(sq, "v_left")
     v_right, nabla_bot = square_map(sq, "v_right"), square_map(sq, "nabla_bot")
-    for k, _ in sq.tl:
-        for d, _ in sq.br:
+    for k in nabla_top:
+        for d in corner_degrees(sq, "BR"):
             via_top = 0
-            for kk, ddeg in sq.tr:
-                a = _series_coeff(nabla_top[k], ddeg)
+            for kk in v_right:
+                a = _series_coeff(nabla_top[k], kk)
                 b = _series_coeff(v_right[kk], d)
                 if a == 0 or b == 0:
                     continue
@@ -503,8 +509,8 @@ def known_square_identity_holds(sq) -> bool:
                     break
                 via_top = (via_top + a * b) % p
             via_bot = 0
-            for m, mdeg in sq.bl:
-                a = _series_coeff(v_left[k], mdeg)
+            for m in nabla_bot:
+                a = _series_coeff(v_left[k], m)
                 b = _series_coeff(nabla_bot[m], d)
                 if a == 0 or b == 0:
                     continue
@@ -609,7 +615,8 @@ def reference_square_eliminations(sq):
     materialized tails with nabla_bot negated as d1 = v_right - nabla_bot."""
     p = sq.p
     rows1 = sorted(
-        [("TR", d) for _, d in sq.tr] + [("BL", d) for _, d in sq.bl],
+        [("TR", d) for d in corner_degrees(sq, "TR")]
+        + [("BL", d) for d in corner_degrees(sq, "BL")],
         key=lambda rk: (rk[1], {"TR": 0, "BL": 1}[rk[0]]),
     )
     nabla_top, v_left = square_map(sq, "nabla_top"), square_map(sq, "v_left")
@@ -618,22 +625,20 @@ def reference_square_eliminations(sq):
         ("TL", k): materialized_column(
             {"TR": nabla_top[k], "BL": v_left[k]}, rows1, p
         )
-        for k, _ in sq.tl
+        for k in nabla_top
     }
-    rows2 = [("BR", d) for d in sorted(d for _, d in sq.br)]
+    rows2 = [("BR", d) for d in sorted(corner_degrees(sq, "BR"))]
     cols1 = {
         ("TR", k): materialized_column({"BR": v_right[k]}, rows2, p)
-        for k, _ in sq.tr
+        for k in v_right
     }
-    for m, _ in sq.bl:
+    for m in nabla_bot:
         cols1[("BL", m)] = materialized_column(
             {"BR": nabla_bot[m]}, rows2, p, negate=True
         )
     return (
         reference_eliminate(cols0, rows1, p),
-        reference_eliminate(
-            cols1, rows2, p, in_span=[("BL", m) for m in sq.bl_in_span]
-        ),
+        reference_eliminate(cols1, rows2, p, in_span=sq.bl_in_span),
     )
 
 

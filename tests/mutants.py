@@ -8,10 +8,12 @@ directory and runs pytest there.  It first runs every killer on an
 unmutated copy in one pytest process and exits 2, with pytest's own
 summary naming the culprit, if one fails there, since such a killer would
 count every mutant it guards as killed.  Then, for each mutant, it replaces
-the old snippet by the new one in a fresh copy and runs the mutant's
-killers, one `python -m pytest -x -q <killer>` subprocess each, one at a
-time.  A killer that passes lets the mutant survive; the run prints every
-verdict and exits 1 if any mutant survived.  Standard library only.
+the old snippet by the new one in a fresh copy and runs all the mutant's
+killers in one `python -m pytest -q -rA` subprocess, one mutant at a time.
+Each killer's own verdict is read off pytest's -rA summary: it kills when
+one of its test items fails or errors.  A killer that passes lets the
+mutant survive; the run prints every verdict and exits 1 if any mutant
+survived.  Standard library only.
 
 The tier-1 suite runs the drift check in tests/test_mutants.py (each old
 snippet occurs exactly once in its file, and each killer names a test that
@@ -82,12 +84,27 @@ TAIL_AT_LEAD = (
 MALFORMED = _ZP + "test_both_readers_of_a_square_refuse_a_malformed_column_alike"
 CROSS_CHECK = "tests/test_cli.py::test_failed_cross_check_exits_two"
 PRODUCER_CHECKS = "tests/test_zpn.py::test_every_producer_check_can_fail"
+CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_base_ring_weight_tables"
 CRITERION_4 = "tests/test_acceptance.py::test_criterion_4_k_group_vanishing_tables"
 CRITERION_5 = "tests/test_acceptance.py::test_criterion_5_torsion_tower_order"
+CRITERION_7 = "tests/test_acceptance.py::test_criterion_7_property_suites"
 PAST_THE_GRID = (
     _ZP + "test_generators_are_the_certified_witnesses_past_the_acceptance_grid"
 )
 WINDOWED_REFERENCE = _ZP + "test_builder_matches_the_windowed_reference"
+EXACT_ZERO = _ZP + "test_exact_zero_columns"
+KNOWN_IDENTITY = _ZP + "test_known_square_identity_on_grid"
+MOD_V1_VERTICAL = _ZP + "test_mod_v1_vertical_is_cut_at_the_top_right_window"
+MARGIN_DIMS = _ZP + "test_dims_stable_under_extra_margin"
+MARGIN_MATCHING = _ZP + "test_generator_matching_runs_at_every_margin"
+IN_SPAN = _ZP + "test_in_span_partners"
+CLOSED_FORM = _ZP + "test_certified_dims_match_closed_form"
+MOD_V1_DIMS = _ZP + "test_mod_v1_dims"
+SAMPLED = _ZP + "test_certified_dims_are_instantiation_invariant"
+SHIFT_SQUARES = (
+    _ZP + "test_the_bott_shift_carries_each_square_into_the_next_bott_weight"
+)
+SHIFT_CLASSES = _ZP + "test_the_bott_shift_splits_the_certified_classes"
 _KTHEORY = "tests/test_ktheory.py::"
 BOTT_TOWER = _KTHEORY + "test_nonzero_set_matches_bott_tower"
 H2_LITERALS = _KTHEORY + "test_h2_name_literals"
@@ -129,6 +146,18 @@ MUTANTS = (
         "        return (a - c * b) % p\n",
         "        return (a + c * b) % p\n",
         (ORACLE, RULE, REFERENCE, DENSE),
+    ),
+    # a certainly nonzero multiple subtracted from an exact zero is a unit,
+    # not an unknown; no builder square combines two columns, so only the
+    # eliminator's own tests see it
+    Mutant(
+        "minus-multiple-of-units-is-unknown",
+        "linalg.py",
+        "    if a == 0 and certainly_nonzero(c) and certainly_nonzero(b):\n"
+        "        return UNIT_ENTRY\n",
+        "    if a == 0 and certainly_nonzero(c) and certainly_nonzero(b):\n"
+        "        return UNKNOWN_ENTRY\n",
+        (RULE, REFERENCE, WIDE_REFERENCE),
     ),
     Mutant(
         "ratio-of-unknown-is-unit",
@@ -288,6 +317,52 @@ MUTANTS = (
         _CUT + "    return WindowCutoffs(tl=i + kl, tr=top, bl=i + kl - cut, br=top)\n",
         (CUT_WINDOW, PAST_THE_GRID, H2_WHERE_CERTIFIED, WINDOWED_REFERENCE),
     ),
+    # the builder's columns: each tail starts one degree later, an exact-zero
+    # column gets a tail, and one in-span entry is dropped or added
+    Mutant(
+        "nabla-top-tail-one-later",
+        "zp.py",
+        "{TR: d} if d <= window.tr else {}",
+        "{TR: d + 1} if d <= window.tr else {}",
+        (MOD_V1_VERTICAL, KNOWN_IDENTITY, CRITERION_7, WINDOWED_REFERENCE, EXACT_ZERO),
+    ),
+    Mutant(
+        "v-right-tail-one-later",
+        "zp.py",
+        "{BR: phi + 1} if phi < window.br else {}",
+        "{BR: phi + 2} if phi < window.br else {}",
+        (KNOWN_IDENTITY, NEVER_WRITES, CRITERION_7, WINDOWED_REFERENCE),
+    ),
+    # only the copied reference builder and the literals see this one (it
+    # certifies the same classes and commutes with the Bott shift)
+    Mutant(
+        "nabla-bot-tail-one-later",
+        "zp.py",
+        "{BR: m + 1} if m < window.br else {}",
+        "{BR: m + 2} if m < window.br else {}",
+        (WINDOWED_REFERENCE, EXACT_ZERO),
+    ),
+    Mutant(
+        "exact-zero-tl-column-gets-a-tail",
+        "zp.py",
+        "            d0[TL, d] = ({}, {})\n",
+        "            d0[TL, d] = ({}, {TR: d} if d <= window.tr else {})\n",
+        (MARGIN_DIMS, MARGIN_MATCHING, CRITERION_7, WINDOWED_REFERENCE),
+    ),
+    Mutant(
+        "in-span-entry-dropped",
+        "zp.py",
+        "            bl_in_span[key] = (TL, k + i)\n",
+        "            if k != 1:\n                bl_in_span[key] = (TL, k + i)\n",
+        (IN_SPAN, CLOSED_FORM, SAMPLED, SHIFT_SQUARES, SHIFT_CLASSES, CRITERION_1),
+    ),
+    Mutant(
+        "in-span-entry-added-off-p",
+        "zp.py",
+        "        if m % p == 0:\n",
+        "        if m % p == 0 or m == 1:\n",
+        (IN_SPAN, CLOSED_FORM, MOD_V1_DIMS, SAMPLED, SHIFT_SQUARES, CRITERION_1),
+    ),
     Mutant(
         "ktable-cut-one-bott-step-high",
         "ktheory.py",
@@ -412,12 +487,21 @@ def pytest_run(copy: Path, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def fails(killer: str, copy: Path) -> bool:
-    """Whether the killer fails on the copy."""
-    run = pytest_run(copy, "-x", killer)
+def verdicts(copy: Path, killers: tuple[str, ...]) -> dict[str, bool]:
+    """Whether each killer fails on the copy, from one pytest run."""
+    run = pytest_run(copy, "-rA", *killers)
     if run.returncode not in (0, 1):  # 2+: interrupted, usage or collection error
-        raise RuntimeError(f"{killer}: pytest exited {run.returncode}")
-    return run.returncode == 1
+        raise RuntimeError(f"{' '.join(killers)}: pytest exited {run.returncode}")
+    outcomes: dict[str, set[str]] = {}
+    for line in run.stdout.splitlines():  # "PASSED <node id>", "FAILED <id> - ..."
+        outcome, _, rest = line.partition(" ")
+        if outcome in ("PASSED", "FAILED", "ERROR"):
+            node = rest.split(" - ", 1)[0].split("[", 1)[0]
+            outcomes.setdefault(node, set()).add(outcome)
+    unseen = [k for k in killers if k not in outcomes]
+    if unseen:
+        raise RuntimeError(f"no verdict for {', '.join(unseen)}")
+    return {k: outcomes[k] != {"PASSED"} for k in killers}
 
 
 def main() -> int:
@@ -435,14 +519,15 @@ def main() -> int:
         with tempfile.TemporaryDirectory(prefix="syntomic-mutant-") as tmp:
             copy = Path(tmp)
             tree_copy(copy, mutant)
-            for killer in mutant.killers:
-                start = time.perf_counter()
-                killed = fails(killer, copy)
-                verdict = "killed" if killed else "SURVIVED"
-                took = time.perf_counter() - start
-                print(f"{mutant.ident}: {verdict} by {killer} ({took:.1f} s)")
-                if not killed:
-                    survivors.append((mutant.ident, killer))
+            start = time.perf_counter()
+            killed = verdicts(copy, mutant.killers)
+            took = time.perf_counter() - start
+        for killer in mutant.killers:
+            verdict = "killed" if killed[killer] else "SURVIVED"
+            print(f"{mutant.ident}: {verdict} by {killer}")
+            if not killed[killer]:
+                survivors.append((mutant.ident, killer))
+        print(f"{mutant.ident}: {len(killed)} killers in one run ({took:.1f} s)")
     print(f"{len(MUTANTS)} mutants, {len(survivors)} survivals")
     return 1 if survivors else 0
 

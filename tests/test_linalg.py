@@ -235,13 +235,13 @@ def _reversed_terms(columns, keys):
 
 
 def test_term_order_carries_no_meaning():
-    # column (TL, 2) of build_zp_square(3, 3, extra=2) has v_left terms on BL
+    # column (TL, 5) of build_zp_square(3, 3, extra=2) has v_left terms on BL
     # 5 and 6, and verify_truncation reads BL 5 as its leading term; with
     # that terms dict in descending order, and with every column of a grid
     # of squares reversed, eliminations, reports and verdicts are unchanged
     sq = build_zp_square(3, 3, extra=2)
-    assert list(sq.d0[("TL", 2)][0]) == [("BL", 5), ("BL", 6)]
-    cases = [(sq, {("TL", 2)})] + [
+    assert list(sq.d0[("TL", 5)][0]) == [("BL", 5), ("BL", 6)]
+    cases = [(sq, {("TL", 5)})] + [
         (s, s.d0.keys() | s.d1.keys())
         for s in (build_zp_square(p, i, 2) for p in (2, 3, 5) for i in range(3 * p))
     ]
@@ -258,8 +258,8 @@ def test_term_order_carries_no_meaning():
         assert square_cohomology(flipped) == square_cohomology(sq)
         cutoffs = standard_cutoffs(sq.p, sq.weight)
         assert verify_truncation(flipped, cutoffs) == verify_truncation(sq, cutoffs)
-        if keys == {("TL", 2)}:
-            assert list(flipped.d0[("TL", 2)][0]) == [("BL", 6), ("BL", 5)]
+        if keys == {("TL", 5)}:
+            assert list(flipped.d0[("TL", 5)][0]) == [("BL", 6), ("BL", 5)]
             assert verify_truncation(flipped, cutoffs).ok
 
 
@@ -584,12 +584,9 @@ def test_a_square_that_is_not_a_complex_is_refused():
     sq = SquareComplex(
         p=p,
         weight=0,
-        tl=((0, 0),),
-        tr=(),
-        bl=((0, 0),),
-        br=((1, 1),),
         d0=graded({("TL", 0): {"TR": Series(), "BL": Series(((0, known(1, p)),))}}),
         d1=graded({("BL", 0): {"BR": Series(((1, known(1, p)),))}}),
+        br=(("BR", 1),),
     )
     with pytest.raises(ArithmeticError, match="negative certified dimension"):
         square_cohomology(sq)

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     Series,
     closed_form_dims,
+    corner_degrees,
     graded,
     known,
     known_square_identity_holds,
@@ -284,10 +285,9 @@ def test_generators_are_the_certified_witnesses_past_the_acceptance_grid(p):
                 elif corner == BR:
                     assert 1 <= k <= rep.corner_sizes[3], (p, i, c)
                     assert (BR, k) not in hit, (p, i, c)
-                else:
-                    row = (TR, k + i - 1) if corner == TR else (BL, k)
+                else:  # a TR or BL key is also the d0 row of its element
                     assert c.witness in rep.d1.kernel_columns, (p, i, c)
-                    assert row not in boundary, (p, i, c)
+                    assert c.witness not in boundary, (p, i, c)
             witnesses = {c.witness for c in rep.generators}
             assert len(rep.generators) == len(witnesses) == sum(rep.dims)
 
@@ -349,26 +349,31 @@ def _unit_terms(*degrees):
 
 
 # build_zp_square(3, 3, extra=2) against standard_cutoffs(3, 3) = (4, 3, 4, 3):
-# beyond columns are TL k = 2, 3 (v_left leads 5, 6), TR k = 2, 3 (v_right
-# leads 4, 5) and BL m = 5, 6; each case breaks one of their Series
+# beyond columns are TL 5, 6 (v_left leads 5, 6), TR 4, 5 (v_right leads
+# 4, 5) and BL 5, 6; each case breaks one of their Series.  A case names its
+# column by the corner's basis index k, as the test ids always have: TL k
+# is (TL, k + 3), TR k is (TR, k + 2) and BL k is (BL, k)
+_INDEX_TO_DEGREE = {"v_left": 3, "nabla_top": 3, "v_right": 2, "nabla_bot": 0}
+
+
 @pytest.mark.parametrize(
-    "field, key, series, failing, detail",
+    "field, k, series, failing, detail",
     [
-        ("v_left", 2, Series(((5, known(2, 3)), (6, known(1, 3)))), (TL, 2),
+        ("v_left", 2, Series(((5, known(2, 3)), (6, known(1, 3)))), (TL, 5),
          "beyond column lost its exact unit leading term"),
-        ("v_left", 2, Series(), (TL, 2),
+        ("v_left", 2, Series(), (TL, 5),
          "beyond column lost its exact unit leading term"),
-        ("v_left", 2, Series(_unit_terms(4, 6)), (TL, 2),
+        ("v_left", 2, Series(_unit_terms(4, 6)), (TL, 5),
          "beyond column leads inside the baseline window"),
-        ("nabla_top", 2, Series(tail_from=3), (TL, 2),
+        ("nabla_top", 2, Series(tail_from=3), (TL, 5),
          "vertical image enters the baseline window"),
         ("v_left", 2, Series(_unit_terms(6)), (TL,),
          "beyond leading degrees are not consecutive"),
-        ("v_right", 2, Series(tail_from=4), (TR, 2),
+        ("v_right", 2, Series(tail_from=4), (TR, 4),
          "beyond column lost its exact unit leading term"),
-        ("v_right", 2, Series(((4, known(2, 3)),)), (TR, 2),
+        ("v_right", 2, Series(((4, known(2, 3)),)), (TR, 4),
          "beyond column lost its exact unit leading term"),
-        ("v_right", 2, Series(_unit_terms(3, 4)), (TR, 2),
+        ("v_right", 2, Series(_unit_terms(3, 4)), (TR, 4),
          "beyond column leads inside the baseline window"),
         ("v_right", 3, Series(_unit_terms(4)), (TR,),
          "beyond leading degrees are not consecutive"),
@@ -379,9 +384,9 @@ def _unit_terms(*degrees):
          "image enters the baseline window"),
     ],
 )
-def test_truncation_failure_reasons(field, key, series, failing, detail):
+def test_truncation_failure_reasons(field, k, series, failing, detail):
     sq = build_zp_square(3, 3, extra=2)
-    bad = with_map_entry(sq, field, key, series)
+    bad = with_map_entry(sq, field, k + _INDEX_TO_DEGREE[field], series)
     chk = verify_truncation(bad, standard_cutoffs(3, 3))
     assert (chk.ok, chk.failing, chk.detail) == (False, failing, detail)
 
@@ -389,9 +394,10 @@ def test_truncation_failure_reasons(field, key, series, failing, detail):
 @pytest.mark.parametrize("field", ["v_left", "v_right"])
 def test_truncation_rejects_a_beyond_term_with_no_row(field):
     sq = build_zp_square(3, 3, extra=2)
-    lead = square_map(sq, field)[2].terms[0][0]
+    key = 2 + _INDEX_TO_DEGREE[field]  # the lowest beyond column: TL 5, TR 4
+    lead = square_map(sq, field)[key].terms[0][0]
     column = Series(_unit_terms(lead, 9))  # no row has degree 9
-    bad = with_map_entry(sq, field, 2, column)
+    bad = with_map_entry(sq, field, key, column)
     with pytest.raises(ValueError, match="has no row"):
         verify_truncation(bad, standard_cutoffs(3, 3))
 
@@ -412,8 +418,8 @@ def test_a_leading_term_that_is_not_minimal_is_refused_where_it_is_read():
     for series, message in cases:
         match = f"^{re.escape(message)}$"
         with pytest.raises(ValueError, match=match):
-            certified_eliminate(graded({(TL, 2): {BL: series}}), rows, 3)
-        bad = with_map_entry(sq, "v_left", 2, series)
+            certified_eliminate(graded({(TL, 5): {BL: series}}), rows, 3)
+        bad = with_map_entry(sq, "v_left", 5, series)
         with pytest.raises(ValueError, match=match):
             square_cohomology(bad)
         with pytest.raises(ValueError, match=match):
@@ -425,7 +431,7 @@ def test_a_leading_term_that_is_not_minimal_is_refused_where_it_is_read():
     [
         ("nabla_bot", 4, Series(((4, 7),), 5),
          "entry 7 at ('BR', 4) is neither a residue in 1..2 nor a symbol"),
-        ("v_left", 3, Series(((6, True),)),
+        ("v_left", 6, Series(((6, True),)),
          "entry True at ('BL', 6) is neither a residue in 1..2 nor a symbol"),
     ],
     ids=["seven", "bool"],
@@ -446,10 +452,7 @@ def _malformed_squares(sq):
     """Every copy of sq with one column broken: one explicit entry replaced
     by 0, p, -1 or True, or a term put below the lowest row of its corner,
     where no row is."""
-    lowest = {
-        tag: min((d for _, d in corner), default=0)
-        for tag, corner in ((TR, sq.tr), (BL, sq.bl), (BR, sq.br))
-    }
+    lowest = {tag: min(corner_degrees(sq, tag), default=0) for tag in (TR, BL, BR)}
     for field, tag in (
         ("nabla_top", TR), ("v_left", BL), ("v_right", BR), ("nabla_bot", BR)
     ):
@@ -527,20 +530,20 @@ def test_certification_reads_no_residue_value():
 def test_exact_zero_columns():
     # bott column: vertical map and horizontal cancellation at k(p-1) = i
     sq = build_zp_square(3, 4)
-    assert sq.d0[TL, 2] == ({}, {})
+    assert sq.d0[TL, 6] == ({}, {})
     assert sq.d1[BL, 0] == ({}, {})
     assert sq.d1[BL, 6] == ({}, {})
     # non-bott columns keep their exact leads and unknown tails
-    assert sq.d0[TL, 0][1] == {TR: 4}
+    assert sq.d0[TL, 4][1] == {TR: 4}
     assert sq.d1[BL, 2] == ({(BR, 2): 2}, {BR: 3})
 
 
 def test_in_span_partners():
     sq = build_zp_square(3, 4)
     # p | m with m = 3, 6 in the window; m = 6 is the exact-zero bott column
-    assert sq.bl_in_span == {3: 1}
+    assert sq.bl_in_span == {(BL, 3): (TL, 5)}
     sq = build_zp_square(2, 2)
-    assert sq.bl_in_span == {2: 1}
+    assert sq.bl_in_span == {(BL, 2): (TL, 3)}
 
 
 # --------------------------------------------------------------- mod v1
@@ -557,7 +560,7 @@ def test_mod_v1_dims(p):
 def test_mod_v1_square_shapes():
     sq = mod_v1_square(5, 4)  # weight p-1 keeps two top-right classes
     assert sq.corner_sizes() == (1, 2, 5, 5)
-    assert sq.bl_in_span == {4: 0}
+    assert sq.bl_in_span == {(BL, 4): (TL, 4)}
     sq = mod_v1_square(5, 5)
     assert sq.corner_sizes() == (1, 1, 5, 5)
     assert sq.bl_in_span == {}
@@ -571,8 +574,8 @@ def test_mod_v1_vertical_is_cut_at_the_top_right_window(p):
     # reaches i + 1 at weight p-1 and i above it, so the tail is always kept
     for i in range(p - 1, 3 * p + 1):
         sq = mod_v1_square(p, i)
-        assert square_map(sq, "nabla_top") == {0: Series(tail_from=i)}, (p, i)
-        assert max(d for _, d in sq.tr) == i + (i == p - 1)
+        assert square_map(sq, "nabla_top") == {i: Series(tail_from=i)}, (p, i)
+        assert max(corner_degrees(sq, TR)) == i + (i == p - 1)
 
 
 def test_mod_v1_generator_names():
@@ -580,6 +583,74 @@ def test_mod_v1_generator_names():
     assert [c.name for c in mod_v1_named_basis(5, 5)] == ["lambda1", "del*lambda1"]
     assert mod_v1_named_basis(5, 6) == ()
     assert [c.name for c in mod_v1_named_basis(2, 1)] == ["gamma_1"]
+
+
+# ----------------------------------------------------------- Bott shift
+#
+# Multiplication by v1 raises the weight by p - 1 and every filtration
+# degree by p: on keys it is the one map sigma(t, d) = (t, d + p), and the
+# weight-i square is sigma of the weight i - (p - 1) square plus the mod v1
+# square.  Over p <= 7 and p <= i < 20p the two tests take about 0.1 s and
+# 0.5 s on one core.
+
+SHIFT_GRID = [(p, i) for p in PRIMES for i in range(p, 20 * p)]
+
+
+def _sigma(key, p):
+    return (key[0], key[1] + p)
+
+
+def _keys(sq):
+    return set(sq.d0) | set(sq.d1) | set(sq.br)
+
+
+def test_the_bott_shift_carries_each_square_into_the_next_bott_weight():
+    for p, i in SHIFT_GRID:
+        sq, up = build_zp_square(p, i), build_zp_square(p, i + p - 1)
+        upper = up.d0 | up.d1
+        # (BL, 0) is d(1) = 0; its image (BL, p) is a nonzero column
+        bottom = (BL, 0)
+        for c, (terms, tails) in (sq.d0 | sq.d1).items():
+            if c == bottom:
+                continue
+            assert upper[_sigma(c, p)] == (
+                {_sigma(r, p): e for r, e in terms.items()},
+                {t: start + p for t, start in tails.items()},
+            ), (p, i, c)
+        assert {_sigma(b, p): _sigma(t, p) for b, t in sq.bl_in_span.items()} == {
+            b: t for b, t in up.bl_in_span.items() if b != _sigma(bottom, p)
+        }, (p, i)
+        shifted = {_sigma(c, p) for c in _keys(sq)}
+        reduced = _keys(mod_v1_square(p, i + p - 1))
+        assert shifted.isdisjoint(reduced), (p, i)
+        assert _keys(up) == shifted | reduced, (p, i)
+
+
+def _shift_parts(rep):
+    """The pivots and kernel columns of d0 and d1 and the witnesses of a
+    report, as sets."""
+    elims = (rep.d0, rep.d1)
+    return {
+        "pivots": {(n, r, c) for n, e in enumerate(elims) for r, c in e.pivots},
+        "kernel": {(n, c) for n, e in enumerate(elims) for c in e.kernel_columns},
+        "witnesses": {c.witness for c in rep.generators},
+    }
+
+
+def test_the_bott_shift_splits_the_certified_classes():
+    for p, i in SHIFT_GRID:
+        rep, low = zp_cohomology(p, i), zp_cohomology(p, i - (p - 1))
+        reduced = mod_v1_cohomology(p, i)
+        assert rep.dims == tuple(a + b for a, b in zip(low.dims, reduced.dims))
+        full, below, rest = (_shift_parts(r) for r in (rep, low, reduced))
+        shifted = {
+            "pivots": {(n, _sigma(r, p), _sigma(c, p)) for n, r, c in below["pivots"]},
+            "kernel": {(n, _sigma(c, p)) for n, c in below["kernel"]},
+            "witnesses": {_sigma(c, p) for c in below["witnesses"]},
+        }
+        for part in full:
+            assert shifted[part].isdisjoint(rest[part]), (p, i, part)
+            assert full[part] == shifted[part] | rest[part], (p, i, part)
 
 
 # ------------------------------------------------------------- sampling
