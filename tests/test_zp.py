@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from dataclasses import replace
@@ -18,6 +19,7 @@ from conftest import (
     with_map_entry,
 )
 from syntomic import zp
+from syntomic.ktheory import k_even_table
 from syntomic.linalg import (
     BL,
     BR,
@@ -651,6 +653,35 @@ def test_the_bott_shift_splits_the_certified_classes():
         for part in full:
             assert shifted[part].isdisjoint(rest[part]), (p, i, part)
             assert full[part] == shifted[part] | rest[part], (p, i, part)
+
+
+# -------------------------------------------------------- report reprs
+
+
+# the sha256 of every repr below, one per line: 306 zp reports, 102 mod v1
+# reports, 612 truncation checks (half of them on windows cut by one, which
+# fail) and 41 K-table rows; a change of representation must keep each repr
+REPORT_REPRS_SHA256 = "b0d976922927a5f7142124771c5b078ace4f33775fae7046615eec4a2fe6907a"
+
+
+def test_report_reprs_are_pinned():
+    digest = hashlib.sha256()
+    for p in PRIMES:
+        for i in range(6 * p):
+            c = standard_cutoffs(p, i)
+            low = WindowCutoffs(tl=c.tl - 1, tr=c.tr - 1, bl=c.bl - 1, br=c.br - 1)
+            reports = [zp_cohomology(p, i, extra) for extra in range(3)]
+            reports.append(mod_v1_cohomology(p, i))
+            reports += [
+                verify_truncation(build_zp_square(p, i, extra), cut)
+                for extra in range(3)
+                for cut in (c, low)
+            ]
+            for r in reports:
+                digest.update(repr(r).encode() + b"\n")
+    for row in k_even_table(3, 4, 40).rows:
+        digest.update(repr(row).encode() + b"\n")
+    assert digest.hexdigest() == REPORT_REPRS_SHA256
 
 
 # ------------------------------------------------------------- sampling
