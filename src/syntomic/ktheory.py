@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .arith import require_prime
 from .verifier import verify_certificate
@@ -117,8 +118,7 @@ def h2_basis(p: int, n: int) -> H2Tower:
     )
 
 
-@dataclass(frozen=True)
-class KTableRow:
+class KTableRow(NamedTuple):
     i: int
     nonzero: bool
     reason: str  # SHARP_RANGE or BEYOND_TORSION

@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from math import inf
 from operator import itemgetter
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 CERTIFIED = "CERTIFIED"
 INDETERMINATE = "INDETERMINATE"
@@ -81,8 +81,7 @@ def materialize(series: Any, degrees: Iterable[int]) -> dict[int, Scalar]:
     return col
 
 
-@dataclass(frozen=True)
-class EliminationResult:
+class EliminationResult(NamedTuple):
     status: str
     rank: int
     total_columns: int
@@ -139,11 +138,13 @@ def certified_eliminate(
     becomes a pivot and is subtracted from every other candidate: the
     pivot-row entry cancels exactly, the other explicit terms combine
     conservatively, each corner keeps the lower of the two tails, and
-    explicit terms that land inside a tail are absorbed by it.  A combined
-    column is re-indexed under the rows and tails it now has.  A pivot column
-    is not unindexed: it stays listed under its rows and in its tail lists,
-    the pivot search and the targets skip it, and it leaves a tail list only
-    when the prefix of a later pivot row reaches it.  A row therefore costs
+    explicit terms that land inside a tail are absorbed by it.  A row on
+    which no candidate becomes a pivot is free, and the visit records the
+    highest free degree of each corner.  A combined column is re-indexed
+    under the rows and tails it now has.  A pivot column is not unindexed:
+    it stays listed under its rows and in its tail lists, the pivot search
+    and the targets skip it, and it leaves a tail list only when the prefix
+    of a later pivot row reaches it.  A row therefore costs
     time in its candidates and the terms they combine, not in the number of
     columns, and a square whose pivots combine nothing pays no index upkeep.
     Already-pivoted columns are never touched again: their entries on later
@@ -217,9 +218,12 @@ def certified_eliminate(
     after_last = len(order)  # above every column position
     pivots: list[tuple[Any, Any]] = []
     pivoted: set[int] = set()
+    top_free: dict[Any, int] = {}  # the highest degree of a free row by corner
     for r in row_order:
         here = at_row.get(r)
         if not here:
+            if r[1] > top_free.get(r[0], -inf):
+                top_free[r[0]] = r[1]
             continue
         pivot_col, targets = None, []
         for j in here:  # a tail entry is never certainly nonzero
@@ -231,6 +235,8 @@ def certified_eliminate(
             ):
                 pivot_col = j
         if pivot_col is None:
+            if r[1] > top_free.get(r[0], -inf):
+                top_free[r[0]] = r[1]
             continue
         pivots.append((r, order[pivot_col]))
         pivoted.add(pivot_col)
@@ -264,10 +270,6 @@ def certified_eliminate(
             work[j] = (combined, merged)
             index(j)
     pivot_rows = {r for r, _ in pivots}
-    top_free: dict[Any, int] = {}  # the highest degree of a free row by corner
-    for r in row_order:
-        if r not in pivot_rows and r[1] > top_free.get(r[0], -inf):
-            top_free[r[0]] = r[1]
     blocking = None
     kernel = []
     for j in range(len(order)):
@@ -330,13 +332,16 @@ class SquareComplex:
         return (len(self.d0), ntr, len(self.d1) - ntr, len(self.br))
 
 
-def euler_characteristic(sq: SquareComplex) -> int:
-    a, b, c, d = sq.corner_sizes()
+def _euler(sizes: tuple[int, int, int, int]) -> int:
+    a, b, c, d = sizes
     return a - b - c + d
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+def euler_characteristic(sq: SquareComplex) -> int:
+    return _euler(sq.corner_sizes())
+
+
+class CohomologyReport(NamedTuple):
     p: int
     weight: int
     status: str
@@ -388,15 +393,14 @@ def square_cohomology(sq: SquareComplex) -> CohomologyReport:
         h0=h0,
         h1=h1,
         h2=h2,
-        euler=euler_characteristic(sq),
+        euler=_euler(sizes),
         corner_sizes=sizes,
         d0=elim0,
         d1=elim1,
     )
 
 
-@dataclass(frozen=True)
-class WindowCutoffs:
+class WindowCutoffs(NamedTuple):
     """Baseline window tops (filtration degrees), one per corner."""
 
     tl: int
@@ -405,8 +409,7 @@ class WindowCutoffs:
     br: int
 
 
-@dataclass(frozen=True)
-class TruncationCheck:
+class TruncationCheck(NamedTuple):
     ok: bool
     failing: tuple[Any, ...] | None = None
     detail: str = ""

@@ -23,7 +23,7 @@ space, on small truncations, is the only second route.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def _is_prime(p: int) -> bool:
@@ -51,8 +51,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class VerifierReport:
+class VerifierReport(NamedTuple):
     ok: bool
     checks: tuple[tuple[str, bool], ...]
     errors: tuple[str, ...]
@@ -338,8 +337,7 @@ def _dense_membership(p: int, n: int, units: Units) -> bool:
     return not _reduce({row_index[(0, p ** (n - 1) - n)]: 1}, pivots, p)
 
 
-@dataclass(frozen=True)
-class SampleReport:
+class SampleReport(NamedTuple):
     passes: int
     total: int
     cross_checked: bool

@@ -21,7 +21,8 @@ forces exact vanishing (permanent-cycle representatives, see below).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from .arith import Monomial, mono_str, require_prime
 from .linalg import (
@@ -47,10 +48,13 @@ def right_window(p: int, i: int) -> int:
     return (i - 1) // (p - 1)
 
 
-def standard_cutoffs(p: int, i: int) -> WindowCutoffs:
+def standard_cutoffs(p: int, i: int, extra: int = 0) -> WindowCutoffs:
+    """The corner tops of the weight-i window, each widened by extra basis
+    elements; in weight 0 the right column is zero and stays zero."""
     kl, kr = left_window(p, i), right_window(p, i)
-    top = i - 1 + kr if i >= 1 else -1
-    return WindowCutoffs(tl=i + kl, tr=top, bl=i + kl, br=top)
+    left = i + kl + extra
+    top = i - 1 + kr + extra if i >= 1 else -1
+    return WindowCutoffs(tl=left, tr=top, bl=left, br=top)
 
 
 def _square(p: int, i: int, window: WindowCutoffs) -> SquareComplex:
@@ -140,13 +144,7 @@ def build_zp_square(p: int, i: int, extra: int = 0) -> SquareComplex:
         raise ValueError("weight must be >= 0")
     if extra < 0:
         raise ValueError("extra margin must be >= 0")
-    c = standard_cutoffs(p, i)
-    # weight 0: the right column is zero and stays zero
-    grow = extra if i >= 1 else 0
-    window = WindowCutoffs(
-        tl=c.tl + extra, tr=c.tr + grow, bl=c.bl + extra, br=c.br + grow
-    )
-    return _square(p, i, window)
+    return _square(p, i, standard_cutoffs(p, i, extra))
 
 
 def _monomial(i: int, witness: tuple[str, int]) -> Monomial:
@@ -164,8 +162,7 @@ def _monomial(i: int, witness: tuple[str, int]) -> Monomial:
 _DEGREE = {TL: 0, TR: 1, BL: 1, BR: 2}
 
 
-@dataclass(frozen=True)
-class NamedClass:
+class NamedClass(NamedTuple):
     """A cohomology class with its standard name and the witness of the
     certified elimination it stands for: a (corner, filtration degree) key
     of the weight's square."""
@@ -271,7 +268,7 @@ def _witnessed(sq: SquareComplex, names: tuple[NamedClass, ...]) -> CohomologyRe
             f"extra {_listing(named - found)}; "
             f"{len(names)} named for dims {rep.dims}"
         )
-    return replace(rep, generators=names)
+    return rep._replace(generators=names)
 
 
 def zp_cohomology(p: int, i: int, extra: int = 0) -> CohomologyReport:

@@ -93,6 +93,9 @@ PAST_THE_GRID = (
 )
 WINDOWED_REFERENCE = _ZP + "test_builder_matches_the_windowed_reference"
 EXACT_ZERO = _ZP + "test_exact_zero_columns"
+REMAINDER_STARTS = (
+    _ZP + "test_each_unknown_remainder_starts_right_above_its_exact_terms"
+)
 KNOWN_IDENTITY = _ZP + "test_known_square_identity_on_grid"
 MOD_V1_VERTICAL = _ZP + "test_mod_v1_vertical_is_cut_at_the_top_right_window"
 MARGIN_DIMS = _ZP + "test_dims_stable_under_extra_margin"
@@ -122,7 +125,7 @@ PEEL_SCAN = _VERIFIER + "test_peel_matches_the_reference_scan"
 HAND_BUILT = _VERIFIER + "test_peel_against_the_reference_on_hand_built_maps"
 # standard_cutoffs' window of weight i, and the flag that moves one corner's
 # top by one above weight 3p
-_WINDOW = "    return WindowCutoffs(tl=i + kl, tr=top, bl=i + kl, br=top)\n"
+_WINDOW = "    return WindowCutoffs(tl=left, tr=top, bl=left, br=top)\n"
 _CUT = "    cut = i > 3 * p\n"
 
 MUTANTS = (
@@ -179,6 +182,26 @@ MUTANTS = (
         "            if j in pivoted:\n                continue\n            targets.append(j)\n",
         "            targets.append(j)\n",
         (PIVOTS_ONCE, REFERENCE, WIDE_REFERENCE),
+    ),
+    # a row left without a pivot, with no candidate or with candidates of
+    # which none is certainly nonzero, must count as free for the kernel test
+    Mutant(
+        "free-row-without-candidates-unrecorded",
+        "linalg.py",
+        "        if not here:\n"
+        "            if r[1] > top_free.get(r[0], -inf):\n"
+        "                top_free[r[0]] = r[1]\n",
+        "        if not here:\n",
+        (ORACLE, REFERENCE, WIDE_REFERENCE),
+    ),
+    Mutant(
+        "free-row-without-pivot-unrecorded",
+        "linalg.py",
+        "        if pivot_col is None:\n"
+        "            if r[1] > top_free.get(r[0], -inf):\n"
+        "                top_free[r[0]] = r[1]\n",
+        "        if pivot_col is None:\n",
+        (ORACLE, REFERENCE, WIDE_REFERENCE),
     ),
     Mutant(
         "kernel-tail-test-strict",
@@ -300,21 +323,21 @@ MUTANTS = (
         "tr-window-cut-above-3p",
         "zp.py",
         _WINDOW,
-        _CUT + "    return WindowCutoffs(tl=i + kl, tr=top - cut, bl=i + kl, br=top)\n",
+        _CUT + "    return WindowCutoffs(tl=left, tr=top - cut, bl=left, br=top)\n",
         (CUT_WINDOW, PAST_THE_GRID, H2_WHERE_CERTIFIED),
     ),
     Mutant(
         "br-window-cut-above-3p",
         "zp.py",
         _WINDOW,
-        _CUT + "    return WindowCutoffs(tl=i + kl, tr=top, bl=i + kl, br=top - cut)\n",
+        _CUT + "    return WindowCutoffs(tl=left, tr=top, bl=left, br=top - cut)\n",
         (CUT_WINDOW, PAST_THE_GRID, H2_WHERE_CERTIFIED),
     ),
     Mutant(
         "bl-window-cut-above-3p",
         "zp.py",
         _WINDOW,
-        _CUT + "    return WindowCutoffs(tl=i + kl, tr=top, bl=i + kl - cut, br=top)\n",
+        _CUT + "    return WindowCutoffs(tl=left, tr=top, bl=left - cut, br=top)\n",
         (CUT_WINDOW, PAST_THE_GRID, H2_WHERE_CERTIFIED, WINDOWED_REFERENCE),
     ),
     # the builder's columns: each tail starts one degree later, an exact-zero
@@ -331,16 +354,20 @@ MUTANTS = (
         "zp.py",
         "{BR: phi + 1} if phi < window.br else {}",
         "{BR: phi + 2} if phi < window.br else {}",
-        (KNOWN_IDENTITY, NEVER_WRITES, CRITERION_7, WINDOWED_REFERENCE),
+        (
+            KNOWN_IDENTITY, NEVER_WRITES, CRITERION_7, WINDOWED_REFERENCE,
+            REMAINDER_STARTS,
+        ),
     ),
-    # only the copied reference builder and the literals see this one (it
-    # certifies the same classes and commutes with the Bott shift)
+    # this one certifies the same classes and commutes with the Bott shift:
+    # only the tail starts read off the basis monomials, the copied
+    # reference builder and the literals see it
     Mutant(
         "nabla-bot-tail-one-later",
         "zp.py",
         "{BR: m + 1} if m < window.br else {}",
         "{BR: m + 2} if m < window.br else {}",
-        (WINDOWED_REFERENCE, EXACT_ZERO),
+        (REMAINDER_STARTS, WINDOWED_REFERENCE, EXACT_ZERO),
     ),
     Mutant(
         "exact-zero-tl-column-gets-a-tail",
@@ -435,8 +462,7 @@ EQUIVALENT = (
         "zp.py",
         _WINDOW,
         "    wide = i > 3 * p\n"
-        "    return WindowCutoffs("
-        "tl=i + kl + wide, tr=top, bl=i + kl + wide, br=top)\n",
+        "    return WindowCutoffs(tl=left + wide, tr=top, bl=left + wide, br=top)\n",
         "the window is stable: the new TL column's one exact unit term pivots "
         "on the new BL row, and the new BL element, zero under d1 beyond the "
         "window, is that column's boundary, so every certified dimension, "

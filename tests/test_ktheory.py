@@ -1,6 +1,5 @@
 """Vanishing tables, the Bott tower, nilpotence orders, bound comparisons."""
 
-import dataclasses
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -342,7 +341,7 @@ def test_json_bytes_match_json_dumps_on_hand_built_tables(table):
 
 def test_json_rows_carry_every_row_field():
     # the rows are written from a template: a new KTableRow field must show
-    fields = {f.name for f in dataclasses.fields(KTableRow)}
+    fields = set(KTableRow._fields)
     for table in (HAND_BUILT, k_even_table(3, 3, 6)):
         rows = json.loads(table_to_json(table))["rows"]
         assert rows and all(set(r) == fields for r in rows)

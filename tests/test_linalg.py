@@ -39,7 +39,9 @@ from syntomic.linalg import (
     square_rows,
     verify_truncation,
 )
-from syntomic.zp import build_zp_square, mod_v1_square, standard_cutoffs
+from syntomic.ktheory import KTableRow
+from syntomic.verifier import SampleReport, VerifierReport
+from syntomic.zp import NamedClass, build_zp_square, mod_v1_square, standard_cutoffs
 
 PRIMES = (2, 3, 5, 7)
 
@@ -848,3 +850,46 @@ def test_wide_random_graded_matrices_match_the_reference():
         assert _fields(res) == _fields(reference_eliminate(flat, rows, p, span))
         statuses[res.status] += 1
     assert min(statuses.values()) > 10
+
+
+# --------------------------------------------------------- result records
+
+
+def test_result_records_keep_their_shape():
+    # the per-call result records are named tuples with the fields, defaults
+    # and truth values they had as frozen dataclasses; no attribute can be set
+    elim = linalg.EliminationResult(CERTIFIED, 0, 0, (), ())
+    rep = linalg.CohomologyReport(
+        3, 0, INDETERMINATE, None, None, None, 0, (1, 0, 1, 0), elim, elim
+    )
+    shapes = [
+        (elim, "status rank total_columns pivots kernel_columns blocking"),
+        (rep, "p weight status h0 h1 h2 euler corner_sizes d0 d1 generators"),
+        (linalg.WindowCutoffs(1, 2, 3, 4), "tl tr bl br"),
+        (linalg.TruncationCheck(False), "ok failing detail"),
+        (NamedClass("1", 0, ("TL", 0)), "name weight witness"),
+        (KTableRow(0, True, "", "", ()), "i nonzero reason note axioms"),
+        (SampleReport(4, 5, False), "passes total cross_checked"),
+        (VerifierReport(False, (), ()), "ok checks errors"),
+    ]
+    for record, fields in shapes:
+        assert record._fields == tuple(fields.split()), fields
+        for name in (record._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    defaults = {type(r).__name__: r._field_defaults for r, _ in shapes}
+    assert {name: d for name, d in defaults.items() if d} == {
+        "EliminationResult": {"blocking": None},
+        "CohomologyReport": {"generators": ()},
+        "TruncationCheck": {"failing": None, "detail": ""},
+    }
+    assert rep.dims == (None, None, None)
+    # a status, ok flag or pass count decides the truth value, not the length
+    assert elim and not elim._replace(status=INDETERMINATE)
+    assert not rep and rep._replace(status=CERTIFIED)
+    assert not linalg.TruncationCheck(False) and linalg.TruncationCheck(True)
+    assert not SampleReport(4, 5, False) and SampleReport(5, 5, False).ok
+    assert not VerifierReport(False, (), ()) and VerifierReport(True, (), ())
+    cls = NamedClass("del*lambda1", 3, ("BR", 3))
+    assert (cls.degree, cls.rep) == (2, "z^2*Dz*t^-3")
+    assert cls == ("del*lambda1", 3, ("BR", 3))

@@ -19,6 +19,7 @@ from conftest import (
     with_map_entry,
 )
 from syntomic import zp
+from syntomic.arith import Monomial, f_degree
 from syntomic.ktheory import k_even_table
 from syntomic.linalg import (
     BL,
@@ -197,7 +198,7 @@ def test_generator_matching_runs_at_every_margin(extra, monkeypatch):
         rep = square_cohomology(sq)
         kept = tuple(c for c in rep.d1.kernel_columns if c != (BL, 6))
         assert kept != rep.d1.kernel_columns
-        return replace(rep, d1=replace(rep.d1, kernel_columns=kept))
+        return rep._replace(d1=rep.d1._replace(kernel_columns=kept))
 
     monkeypatch.setattr(zp, "square_cohomology", lose_del_column)
     message = (
@@ -213,7 +214,7 @@ def _moved(basis, name, witness):
 
     def moved(p, i):
         return tuple(
-            replace(c, witness=witness) if c.name == name else c
+            c._replace(witness=witness) if c.name == name else c
             for c in basis(p, i)
         )
 
@@ -333,7 +334,7 @@ def test_a_window_cut_by_one_is_refused_or_changes_nothing(p, monkeypatch):
         honest = zp_cohomology(p, i)
         c = standard_cutoffs(p, i)
         for corner in ("tl", "tr", "bl", "br"):
-            cut = replace(c, **{corner: getattr(c, corner) - 1})
+            cut = c._replace(**{corner: getattr(c, corner) - 1})
             with monkeypatch.context() as m:
                 m.setattr(zp, "standard_cutoffs", lambda *_: cut)
                 try:
@@ -538,6 +539,37 @@ def test_exact_zero_columns():
     # non-bott columns keep their exact leads and unknown tails
     assert sq.d0[TL, 4][1] == {TR: 4}
     assert sq.d1[BL, 2] == ({(BR, 2): 2}, {BR: 3})
+
+
+def _leading_image(p, i, key):
+    """The monomial where the image of the d1 column's basis element leads:
+    nabla_bot(z^m) = m z^(m-1) nabla z, and the frobenius sends
+    E^(i-1) z^a nabla z t^-i to a unit times z^(pa+p-1) nabla z."""
+    a = zp._monomial(i, key).z_pow
+    if key[0] == BL:
+        return Monomial(z_pow=a - 1, nabla=True, twist=i)
+    return Monomial(z_pow=p * a + p - 1, nabla=True, twist=i)
+
+
+def test_each_unknown_remainder_starts_right_above_its_exact_terms():
+    # the tail of every d1 column starts one filtration degree above the
+    # leading image of its element, read off the basis monomial: a nabla_bot
+    # column of BL degree m from m + 1, a v_right column from one above its
+    # frobenius degree; a start beyond the last BR row leaves no tail
+    grid = [(p, i) for p in (2, 3, 5, 7, 11, 13) for i in range(8 * p)]
+    squares = [build_zp_square(p, i, extra) for p, i in grid for extra in range(4)]
+    squares += [mod_v1_square(p, i) for p, i in grid]
+    tails = 0
+    for sq in squares:
+        top = max((d for _, d in sq.br), default=0)
+        for key, (terms, tail) in sq.d1.items():
+            if terms == {} and tail == {}:
+                continue  # an exact-zero column: d(1), or a permanent cycle
+            start = f_degree(_leading_image(sq.p, sq.weight, key), sq.p, 1) + 1
+            want = {BR: start} if start <= top else {}
+            assert tail == want, (sq.p, sq.weight, key)
+            tails += bool(tail)
+    assert tails > 10000
 
 
 def test_in_span_partners():
