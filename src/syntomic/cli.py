@@ -16,8 +16,10 @@ all randomness drawn from the given seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
 
 from . import ktheory, verifier, zpn
@@ -34,11 +36,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="syntomic", description=__doc__)
+    # the help width is read once per build: left unset, argparse makes a
+    # formatter, which asks for the terminal size, on every add_argument
+    fmt = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+    parser = _Parser(prog="syntomic", description=__doc__, formatter_class=fmt)
     # dest only names the subcommand in argparse's error messages
     sub = parser.add_subparsers(dest="command", required=True)
 
-    zp_cmd = sub.add_parser("zp", help="base ring cohomology table")
+    zp_cmd = sub.add_parser(
+        "zp", help="base ring cohomology table", formatter_class=fmt
+    )
     zp_cmd.add_argument("--p", type=int, required=True, help="prime")
     zp_cmd.add_argument(
         "--weights",
@@ -49,7 +58,9 @@ def build_parser() -> _Parser:
     zp_cmd.add_argument("--output", default=None, help="output file (else stdout)")
     zp_cmd.set_defaults(run=cmd_zp)
 
-    cert_cmd = sub.add_parser("certify", help="vanishing certificate for Z/p^n")
+    cert_cmd = sub.add_parser(
+        "certify", help="vanishing certificate for Z/p^n", formatter_class=fmt
+    )
     cert_cmd.add_argument("--p", type=int, required=True, help="prime")
     cert_cmd.add_argument("--n", type=int, required=True, help="power of p")
     cert_cmd.add_argument("--samples", type=int, default=100)
@@ -60,7 +71,9 @@ def build_parser() -> _Parser:
     )
     cert_cmd.set_defaults(run=cmd_certify)
 
-    kt_cmd = sub.add_parser("ktable", help="even K-group table for Z/p^n")
+    kt_cmd = sub.add_parser(
+        "ktable", help="even K-group table for Z/p^n", formatter_class=fmt
+    )
     kt_cmd.add_argument("--p", type=int, required=True, help="prime")
     kt_cmd.add_argument("--n", type=int, required=True, help="power of p")
     kt_cmd.add_argument("--imax", type=int, required=True, help="largest weight i")

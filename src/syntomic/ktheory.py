@@ -149,38 +149,20 @@ def k_even_table(p: int, n: int, i_max: int) -> KTable:
     if i_max < 0:
         raise ValueError("need i_max >= 0")
     cert = _require_verified(p, n)
-    rows = [
-        KTableRow(
-            i=0,
-            nonzero=True,
-            reason=SHARP_RANGE,
-            note="K_0 of a nonzero ring is nonzero",
-            axioms=(),
-        )
-    ]
+    # rows are built positionally, (i, nonzero, reason, note, axioms): with
+    # keywords a NamedTuple costs about twice as much
+    vanishing = "certified vanishing: weight outside the Bott tower"
+    rows = [KTableRow(0, True, SHARP_RANGE, "K_0 of a nonzero ring is nonzero", ())]
     for i in range(1, i_max + 1):
         if i % (p - 1) == 0 and i <= cert["weight"]:
             name = h2_name(p, i + 1)
             if name is None:
                 raise ArithmeticError(f"expected one H^2 class in weight {i + 1}")
-            rows.append(
-                KTableRow(
-                    i=i,
-                    nonzero=True,
-                    reason=SHARP_RANGE,
-                    note=f"weight {i + 1} H^2 class {name}",
-                    axioms=(HLS_CRYSTALLINITY,),
-                )
-            )
+            note = f"weight {i + 1} H^2 class {name}"
+            rows.append(KTableRow(i, True, SHARP_RANGE, note, (HLS_CRYSTALLINITY,)))
         else:
             rows.append(
-                KTableRow(
-                    i=i,
-                    nonzero=False,
-                    reason=BEYOND_TORSION,
-                    note="certified vanishing: weight outside the Bott tower",
-                    axioms=(HLS_SURJECTIVITY,),
-                )
+                KTableRow(i, False, BEYOND_TORSION, vanishing, (HLS_SURJECTIVITY,))
             )
     return KTable(
         p=p,

@@ -18,7 +18,7 @@ reads it as it is.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from math import inf
 from operator import itemgetter
@@ -97,23 +97,35 @@ def _in_tail(tails: dict[Any, int], r: Row) -> bool:
     return r[0] in tails and r[1] >= tails[r[0]]
 
 
-def _check(columns: dict[Any, Column], row_order: Iterable[Row], p: int) -> None:
+def _read(columns: dict[Any, Column], row_order: Iterable[Row], p: int) -> tuple:
     """The one reader of graded columns, which copies nothing.  Raises
     ValueError at the first term at or above its corner's tail, on no row
-    of row_order, or with an entry neither in range(1, p) nor a symbol."""
-    rows = set(row_order)
-    for terms, tails in columns.values():
+    of row_order, or with an entry neither in range(1, p) nor a symbol.
+    In the same pass it indexes each column by its position in the order
+    given: under the rows of its explicit terms, and per corner as a key
+    (-tail_from, -position), sorted once so that the lowest tail is last.
+    Returns the column keys, the columns and these two indexes."""
+    work = list(columns.values())
+    at_row: dict[Row, list[int]] = {r: [] for r in row_order}
+    tail_index: dict[Any, list[tuple[int, int]]] = {}
+    for j, (terms, tails) in enumerate(work):
         for r, s in terms.items():
-            tail = tails.get(r[0])
-            if tail is not None and r[1] >= tail:
+            if r[1] >= tails.get(r[0], inf):
                 raise ValueError(f"term at {r!r} is not below its tail")
-            if r not in rows:
+            here = at_row.get(r)
+            if here is None:
                 raise ValueError(f"explicit term at {r!r} has no row")
             if not (0 < s < p if type(s) is int else s in _SYMBOLS):
                 raise ValueError(
                     f"entry {s!r} at {r!r} is neither a residue in 1..{p - 1} "
                     "nor a symbol"
                 )
+            here.append(j)
+        for tag, start in tails.items():
+            tail_index.setdefault(tag, []).append((-start, -j))
+    for tail_list in tail_index.values():
+        tail_list.sort()
+    return list(columns), work, at_row, tail_index
 
 
 def certified_eliminate(
@@ -126,27 +138,29 @@ def certified_eliminate(
 
     Each column is a graded (terms, tails) pair.  A tail stands for an
     independent unknown on each row of its corner from its start up; tails
-    are never expanded into entries.  The columns are checked in place by
-    _check, which refuses a malformed one, and are never written into: a
-    combined column is a new pair.
+    are never expanded into entries.  The columns are read in place, once,
+    by _read, which refuses a malformed one and indexes them all, and are
+    never written into: a combined column is a new pair.
 
     Rows are visited once, in the given order.  The candidates at row
     (tag, d) are the pivotless columns with an explicit term there, found
     through a row index, and those whose tail on tag starts at or below d,
-    found as a prefix of a per-corner list sorted by tail_from.  The first
-    candidate in the order given with a certainly nonzero explicit entry
-    becomes a pivot and is subtracted from every other candidate: the
+    popped off the end of a per-corner list that holds the lowest tail last.
+    The first candidate in the order given with a certainly nonzero explicit
+    entry becomes a pivot and is subtracted from every other candidate: the
     pivot-row entry cancels exactly, the other explicit terms combine
     conservatively, each corner keeps the lower of the two tails, and
     explicit terms that land inside a tail are absorbed by it.  A row on
     which no candidate becomes a pivot is free, and the visit records the
     highest free degree of each corner.  A combined column is re-indexed
     under the rows and tails it now has.  A pivot column is not unindexed:
-    it stays listed under its rows and in its tail lists, the pivot search
-    and the targets skip it, and it leaves a tail list only when the prefix
-    of a later pivot row reaches it.  A row therefore costs
-    time in its candidates and the terms they combine, not in the number of
-    columns, and a square whose pivots combine nothing pays no index upkeep.
+    it stays listed under its rows and in its tail lists, and the pivot
+    search and the targets skip it.  A pivot row pops every tail that
+    reaches it off its corner's list, drops the pivot columns among them and
+    puts the others back in order, so a later row of lower degree again pops
+    only the tails that reach it.  A row therefore costs time in its
+    candidates and the terms they combine, not in the number of columns, and
+    a square whose pivots combine nothing pays no index upkeep.
     Already-pivoted columns are never touched again: their entries on later
     rows sit strictly below their own pivot row, so they cannot damage the
     lower-triangular pivot minor that witnesses the rank.
@@ -174,11 +188,9 @@ def certified_eliminate(
     for c in span:
         if c not in columns:
             raise ValueError(f"in-span column {c!r} not among the columns")
-    _check(columns, row_order, p)
     # working columns are keyed by their position in the order given, so the
     # first of them is the smallest int
-    order = [c for c in columns if c not in span]
-    work = [columns[c] for c in order]
+    order, work, at_row, tail_index = _read(columns, row_order, p)
 
     def entry(j: int, r: Row) -> Scalar | None:
         """The entry of column j on a row that is not a pivot row."""
@@ -186,18 +198,13 @@ def certified_eliminate(
         e = terms.get(r)
         return UNKNOWN_ENTRY if e is None and _in_tail(tails, r) else e
 
-    # the columns by row of an explicit term, and by corner as sorted
-    # (tail_from, column) pairs; a pivot column stays listed and is skipped
-    at_row: dict[Any, list[int]] = {}
-    tail_index: dict[Any, list[tuple[int, int]]] = {}
-
     def index(j: int) -> None:
         """List a combined column under its new rows and tails."""
         terms, tails = work[j]
         for r in terms:
-            at_row.setdefault(r, []).append(j)
+            at_row[r].append(j)
         for tag, start in tails.items():
-            insort(tail_index.setdefault(tag, []), (start, j))
+            insort(tail_index.setdefault(tag, []), (-start, -j))
 
     def unindex(j: int) -> None:
         terms, tails = work[j]
@@ -205,52 +212,45 @@ def certified_eliminate(
             at_row[r].remove(j)
         for tag, start in tails.items():
             tail_list = tail_index[tag]
-            del tail_list[bisect_left(tail_list, (start, j))]
+            del tail_list[bisect_left(tail_list, (-start, -j))]
 
-    # the first pass appends in column order and sorts each tail list once
-    for j, (terms, tails) in enumerate(work):
-        for r in terms:
-            at_row.setdefault(r, []).append(j)
-        for tag, start in tails.items():
-            tail_index.setdefault(tag, []).append((start, j))
-    for tail_list in tail_index.values():
-        tail_list.sort()
-    after_last = len(order)  # above every column position
+    # positions kept out of pivoting, but not unindexed: in-span and pivot columns
+    done = {j for j, c in enumerate(order) if c in span} if span else set()
     pivots: list[tuple[Any, Any]] = []
-    pivoted: set[int] = set()
     top_free: dict[Any, int] = {}  # the highest degree of a free row by corner
     for r in row_order:
-        here = at_row.get(r)
-        if not here:
-            if r[1] > top_free.get(r[0], -inf):
-                top_free[r[0]] = r[1]
-            continue
         pivot_col, targets = None, []
-        for j in here:  # a tail entry is never certainly nonzero
-            if j in pivoted:
+        for j in at_row[r]:  # a tail entry is never certainly nonzero
+            if j in done:
                 continue
             targets.append(j)
             if (pivot_col is None or j < pivot_col) and certainly_nonzero(
                 work[j][0][r]
             ):
                 pivot_col = j
-        if pivot_col is None:
+        if pivot_col is None:  # no candidate, or none certainly nonzero
             if r[1] > top_free.get(r[0], -inf):
                 top_free[r[0]] = r[1]
             continue
         pivots.append((r, order[pivot_col]))
-        pivoted.add(pivot_col)
+        done.add(pivot_col)
         targets.remove(pivot_col)
         # reduce every pivotless column with an entry on r: an explicit term,
-        # or else (explicit terms sit below a tail) a tail from r[1] or lower;
-        # the pivoted columns in that tail prefix leave the tail list here
+        # or else (explicit terms sit below a tail) a tail from r[1] or lower,
+        # popped in ascending (tail_from, position); popped pivot columns and
+        # in-span columns leave the tail list here
         tail_list = tail_index.get(r[0])
-        if tail_list and tail_list[0][0] <= r[1]:
-            end = bisect_right(tail_list, (r[1], after_last))
-            in_tail = [t for t in tail_list[:end] if t[1] not in pivoted]
-            tail_list[:end] = in_tail
-            if in_tail:
-                targets += [j for _, j in in_tail]
+        if tail_list:
+            low, reached = -r[1], []
+            while tail_list and tail_list[-1][0] >= low:
+                key = tail_list.pop()
+                if -key[1] not in done:
+                    reached.append(key)
+            if reached:
+                targets += [-j for _, j in reached]
+                tail_list += reversed(reached)
+        if not targets:
+            continue
         pterms, ptails = work[pivot_col]
         pval = pterms[r]
         for j in targets:
@@ -273,7 +273,7 @@ def certified_eliminate(
     blocking = None
     kernel = []
     for j in range(len(order)):
-        if j in pivoted:
+        if j in done:
             continue
         terms, tails = work[j]
         if not any(r not in pivot_rows for r in terms) and not any(
@@ -432,7 +432,7 @@ def verify_truncation(sq: SquareComplex, cutoffs: WindowCutoffs) -> TruncationCh
     dimensions are stable.
     """
     for columns, rows in zip((sq.d0, sq.d1), square_rows(sq)):
-        _check(columns, rows, sq.p)
+        _read(columns, rows, sq.p)
     graded = sq.d0 | sq.d1
     rows = [*sq.d1, *sq.br]  # every row key of either differential
 

@@ -57,7 +57,7 @@ class Series:
     """Explicit terms below tail_from, independent unknowns from tail_from up.
 
     Plain data: graded writes it into a column, and the engine's one column
-    check (linalg._check) raises ValueError naming the (corner, degree) row
+    reader (linalg._read) raises ValueError naming the (corner, degree) row
     of a malformed one.
     """
 

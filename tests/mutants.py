@@ -75,6 +75,9 @@ TAIL_AT_TOP = _LINALG + "test_a_tail_from_the_highest_free_degree_blocks"
 NOT_COMBINED = (
     _LINALG + "test_a_pivot_column_reached_by_a_later_tail_prefix_is_not_combined"
 )
+LOWER_ROW = (
+    _LINALG + "test_a_lower_row_after_a_higher_one_reduces_only_the_tails_it_reaches"
+)
 _ZP = "tests/test_zp.py::"
 DUPLICATED_NAME = _ZP + "test_a_duplicated_named_class_is_refused"
 BEYOND_NO_ROW = _ZP + "test_truncation_rejects_a_beyond_term_with_no_row"
@@ -127,6 +130,8 @@ HAND_BUILT = _VERIFIER + "test_peel_against_the_reference_on_hand_built_maps"
 # top by one above weight 3p
 _WINDOW = "    return WindowCutoffs(tl=left, tr=top, bl=left, br=top)\n"
 _CUT = "    cut = i > 3 * p\n"
+# certified_eliminate's one branch for a row that gets no pivot
+_FREE_ROW = "        if pivot_col is None:  # no candidate, or none certainly nonzero\n"
 
 MUTANTS = (
     Mutant(
@@ -179,28 +184,25 @@ MUTANTS = (
     Mutant(
         "pivot-scan-takes-pivoted",
         "linalg.py",
-        "            if j in pivoted:\n                continue\n            targets.append(j)\n",
+        "            if j in done:\n                continue\n            targets.append(j)\n",
         "            targets.append(j)\n",
         (PIVOTS_ONCE, REFERENCE, WIDE_REFERENCE),
     ),
     # a row left without a pivot, with no candidate or with candidates of
-    # which none is certainly nonzero, must count as free for the kernel test
+    # which none is certainly nonzero, must count as free for the kernel test;
+    # one branch records both, and each mutant skips it for one kind of row
     Mutant(
         "free-row-without-candidates-unrecorded",
         "linalg.py",
-        "        if not here:\n"
-        "            if r[1] > top_free.get(r[0], -inf):\n"
-        "                top_free[r[0]] = r[1]\n",
-        "        if not here:\n",
+        _FREE_ROW,
+        _FREE_ROW + "            if not targets:\n                continue\n",
         (ORACLE, REFERENCE, WIDE_REFERENCE),
     ),
     Mutant(
         "free-row-without-pivot-unrecorded",
         "linalg.py",
-        "        if pivot_col is None:\n"
-        "            if r[1] > top_free.get(r[0], -inf):\n"
-        "                top_free[r[0]] = r[1]\n",
-        "        if pivot_col is None:\n",
+        _FREE_ROW,
+        _FREE_ROW + "            if targets:\n                continue\n",
         (ORACLE, REFERENCE, WIDE_REFERENCE),
     ),
     Mutant(
@@ -210,25 +212,38 @@ MUTANTS = (
         "start < top_free.get(tag, -inf)",
         (TAIL_AT_TOP, ORACLE, REFERENCE),
     ),
+    # a pivot column popped off a tail list is put back and reduced
     Mutant(
         "tail-prune-keeps-pivoted",
         "linalg.py",
-        "in_tail = [t for t in tail_list[:end] if t[1] not in pivoted]",
-        "in_tail = tail_list[:end]",
+        "                if -key[1] not in done:\n"
+        "                    reached.append(key)\n",
+        "                reached.append(key)\n",
         (NOT_COMBINED,),
     ),
+    # a pivot row pops every tail of its corner, reached or not
+    Mutant(
+        "tail-pop-without-the-degree-test",
+        "linalg.py",
+        "while tail_list and tail_list[-1][0] >= low:",
+        "while tail_list:",
+        (LOWER_ROW, REFERENCE, WIDE_REFERENCE),
+    ),
+    # the one reader: a term on no row is listed under a new row, a term
+    # inside its tail is kept, and the entry 0 passes as a residue
     Mutant(
         "reader-row-check-dropped",
         "linalg.py",
-        "            if r not in rows:\n"
+        "            here = at_row.get(r)\n"
+        "            if here is None:\n"
         '                raise ValueError(f"explicit term at {r!r} has no row")\n',
-        "",
+        "            here = at_row.setdefault(r, [])\n",
         (READER, NO_ROW, BEYOND_NO_ROW),
     ),
     Mutant(
         "reader-tail-check-dropped",
         "linalg.py",
-        "            if tail is not None and r[1] >= tail:\n"
+        "            if r[1] >= tails.get(r[0], inf):\n"
         '                raise ValueError(f"term at {r!r} is not below its tail")\n',
         "",
         (READER, TAIL_AT_LEAD),

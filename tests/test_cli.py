@@ -286,6 +286,35 @@ def test_ktable_notes_golden(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+ZP_HELP_AT_80_COLUMNS = """\
+usage: syntomic zp [-h] --p P [--weights WEIGHTS] [--format {json,csv,md}]
+                   [--output OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --p P                 prime
+  --weights WEIGHTS     inclusive weight range a..b, or a single weight
+  --format {json,csv,md}
+  --output OUTPUT       output file (else stdout)
+"""
+
+
+def test_zp_help_is_pinned_and_wraps_at_the_terminal_width(monkeypatch, capsys):
+    # argparse wraps help two columns short of COLUMNS, read once per build
+    def help_at(columns):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit) as stop:
+            main(["zp", "--help"])
+        assert stop.value.code == 0
+        return capsys.readouterr().out
+
+    assert help_at(80) == ZP_HELP_AT_80_COLUMNS
+    widest = max(len(line) for line in ZP_HELP_AT_80_COLUMNS.splitlines())
+    narrow = help_at(50)
+    assert max(len(line) for line in narrow.splitlines()) <= 48 < widest
+    assert narrow.count("\n") > ZP_HELP_AT_80_COLUMNS.count("\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

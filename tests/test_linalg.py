@@ -579,6 +579,22 @@ def test_a_pivot_column_reached_by_a_later_tail_prefix_is_not_combined(
     assert calls == []
 
 
+def test_a_lower_row_after_a_higher_one_reduces_only_the_tails_it_reaches():
+    # rows 5, 3, 2 in that order, and two tail columns: a from 4, b from 2.
+    # Row 5 reaches both; row 3 reaches only b, which absorbs column 1's term
+    # on row 2.  Reduced at row 3 as well, a would take that term, pivot on
+    # row 2 and leave b in the kernel.  Row 2 is free, so b blocks there
+    cols = {
+        0: _col((5, 1)),
+        1: _col((2, 1), (3, 1)),
+        "a": _col(tail=4),
+        "b": _col(tail=2),
+    }
+    res = _as_reference(cols, _rows(5, 3, 2), 5)
+    assert res.pivots == ((("R", 5), 0), (("R", 3), 1))
+    assert res.kernel_columns == ("a",) and res.blocking == ("b", ("R", 2))
+
+
 def test_a_square_that_is_not_a_complex_is_refused():
     # d1 o d0 sends the top-left element to a unit at BR 1, so the two ranks
     # overcount: h1 = (0 + 1) - 1 - 1 = -1
