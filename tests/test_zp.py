@@ -20,7 +20,12 @@ from conftest import (
 )
 from syntomic import zp
 from syntomic.arith import Monomial, f_degree
-from syntomic.ktheory import k_even_table
+from syntomic.ktheory import (
+    bound_comparison,
+    h2_basis,
+    k_even_table,
+    v1_nilpotence_order,
+)
 from syntomic.linalg import (
     BL,
     BR,
@@ -45,6 +50,7 @@ from syntomic.zp import (
     standard_cutoffs,
     zp_cohomology,
 )
+from syntomic.zpn import certify_vanishing
 
 PRIMES = (2, 3, 5, 7)
 
@@ -714,6 +720,29 @@ def test_report_reprs_are_pinned():
     for row in k_even_table(3, 4, 40).rows:
         digest.update(repr(row).encode() + b"\n")
     assert digest.hexdigest() == REPORT_REPRS_SHA256
+
+
+# the sha256 of the repr of each record a command builds once, one per line:
+# 15 vanishing certificates with their steps and monomials, a K-table with
+# its axiom tags and certificate dict, an H^2 tower, 32 nilpotence and bound
+# reports and two squares; a change of representation must keep each repr
+RECORD_REPRS_SHA256 = "d2d43ef588fe148d68d4fe295da0d51e594345354e4830a2f141421046494aea"
+
+
+def test_record_reprs_are_pinned():
+    records = [certify_vanishing(p, n) for p in (2, 3, 5) for n in range(2, 7)]
+    records += [k_even_table(3, 4, 40), h2_basis(3, 3)]
+    records += [
+        report(p, n)
+        for report in (v1_nilpotence_order, bound_comparison)
+        for p in PRIMES
+        for n in range(2, 6)
+    ]
+    records += [build_zp_square(3, 4), mod_v1_square(3, 2)]
+    digest = hashlib.sha256()
+    for r in records:
+        digest.update(repr(r).encode() + b"\n")
+    assert digest.hexdigest() == RECORD_REPRS_SHA256
 
 
 # ------------------------------------------------------------- sampling
