@@ -11,7 +11,7 @@ filtration degree.  No coefficient arithmetic happens here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 # Miller-Rabin over the primes up to 37 as bases decides primality exactly
@@ -53,29 +53,39 @@ def require_prime(p: int) -> None:
         raise ValueError(f"p={p} is not prime")
 
 
-@dataclass(frozen=True)
-class Monomial:
+class _Exponents(NamedTuple):
+    e_pow: int = 0
+    z_pow: int = 0
+    f_exp: tuple[tuple[int, int], ...] = ()
+    nabla: bool = False
+    twist: int = 0
+
+
+class Monomial(_Exponents):
     """A monomial E^e * z^k * prod f_u^{c_u} * (nabla z)^eps * t^{-twist}.
 
     f_exp is a sorted tuple of (u, c_u) with c_u > 0; exponents c_u < p are
     maintained by every constructor in this package (reducing f_u^p would
-    introduce an unknown unit, which the engine never does).
+    introduce an unknown unit, which the engine never does).  Every route to
+    a Monomial validates, _replace included, since _make builds through cls.
     """
 
-    e_pow: int = 0
-    z_pow: int = 0
-    f_exp: tuple[tuple[int, int], ...] = field(default=())
-    nabla: bool = False
-    twist: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.e_pow < 0 or self.z_pow < 0:
+    def __new__(cls, *args, **kwargs) -> Monomial:
+        m = super().__new__(cls, *args, **kwargs)
+        if m.e_pow < 0 or m.z_pow < 0:
             raise ValueError("negative exponent")
         last = -1
-        for u, c in self.f_exp:
+        for u, c in m.f_exp:
             if u <= last or c <= 0:
                 raise ValueError("f_exp must be sorted with positive exponents")
             last = u
+        return m
+
+    @classmethod
+    def _make(cls, iterable) -> Monomial:
+        return cls(*iterable)
 
 
 def f_degree(m: Monomial, p: int, n: int) -> int:

@@ -12,7 +12,6 @@ else is assumed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -30,8 +29,7 @@ SHARP_RANGE = "SHARP_RANGE"
 BEYOND_TORSION = "BEYOND_TORSION"
 
 
-@dataclass(frozen=True)
-class AxiomTag:
+class AxiomTag(NamedTuple):
     ident: str
     statement: str
     used: bool
@@ -75,20 +73,12 @@ def _require_verified(p: int, n: int) -> dict:
     return data
 
 
-@dataclass(frozen=True)
-class H2Tower:
+class H2Tower(NamedTuple):
     """Basis classes of positive-weight H^2 together with the external
-    inputs their span and cut rely on.  Iterates as the class tuple so
-    callers can treat it as the basis list."""
+    inputs their span and cut rely on; the basis list is .classes."""
 
     classes: tuple[NamedClass, ...]
     axioms: tuple[AxiomTag, ...]
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-    def __iter__(self):
-        return iter(self.classes)
 
 
 def _h2_class(p: int, w: int) -> NamedClass:
@@ -126,8 +116,7 @@ class KTableRow(NamedTuple):
     axioms: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class KTable:
+class KTable(NamedTuple):
     p: int
     n: int
     i_max: int
@@ -182,8 +171,7 @@ def k_even_table(p: int, n: int, i_max: int) -> KTable:
     )
 
 
-@dataclass(frozen=True)
-class NilpotenceReport:
+class NilpotenceReport(NamedTuple):
     p: int
     n: int
     order: int
@@ -203,8 +191,7 @@ def v1_nilpotence_order(p: int, n: int) -> NilpotenceReport:
     )
 
 
-@dataclass(frozen=True)
-class BoundComparison:
+class BoundComparison(NamedTuple):
     p: int
     n: int
     prior_vanishing_from: int

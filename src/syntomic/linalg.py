@@ -19,10 +19,10 @@ reads it as it is.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 from math import inf
 from operator import itemgetter
-from typing import Any, Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, NamedTuple
 
 CERTIFIED = "CERTIFIED"
 INDETERMINATE = "INDETERMINATE"
@@ -101,13 +101,11 @@ def _read(columns: dict[Any, Column], row_order: Iterable[Row], p: int) -> tuple
     """The one reader of graded columns, which copies nothing.  Raises
     ValueError at the first term at or above its corner's tail, on no row
     of row_order, or with an entry neither in range(1, p) nor a symbol.
-    In the same pass it indexes each column by its position in the order
-    given: under the rows of its explicit terms, and per corner as a key
-    (-tail_from, -position), sorted once so that the lowest tail is last.
-    Returns the column keys, the columns and these two indexes."""
+    In the same pass it lists each column's position in the order given
+    under the rows of its explicit terms.  Returns the column keys, the
+    columns and that row index."""
     work = list(columns.values())
     at_row: dict[Row, list[int]] = {r: [] for r in row_order}
-    tail_index: dict[Any, list[tuple[int, int]]] = {}
     for j, (terms, tails) in enumerate(work):
         for r, s in terms.items():
             if r[1] >= tails.get(r[0], inf):
@@ -121,11 +119,7 @@ def _read(columns: dict[Any, Column], row_order: Iterable[Row], p: int) -> tuple
                     "nor a symbol"
                 )
             here.append(j)
-        for tag, start in tails.items():
-            tail_index.setdefault(tag, []).append((-start, -j))
-    for tail_list in tail_index.values():
-        tail_list.sort()
-    return list(columns), work, at_row, tail_index
+    return list(columns), work, at_row
 
 
 def certified_eliminate(
@@ -139,8 +133,8 @@ def certified_eliminate(
     Each column is a graded (terms, tails) pair.  A tail stands for an
     independent unknown on each row of its corner from its start up; tails
     are never expanded into entries.  The columns are read in place, once,
-    by _read, which refuses a malformed one and indexes them all, and are
-    never written into: a combined column is a new pair.
+    by _read, which refuses a malformed one and indexes them by row, and
+    are never written into: a combined column is a new pair.
 
     Rows are visited once, in the given order.  The candidates at row
     (tag, d) are the pivotless columns with an explicit term there, found
@@ -190,7 +184,14 @@ def certified_eliminate(
             raise ValueError(f"in-span column {c!r} not among the columns")
     # working columns are keyed by their position in the order given, so the
     # first of them is the smallest int
-    order, work, at_row, tail_index = _read(columns, row_order, p)
+    order, work, at_row = _read(columns, row_order, p)
+    # per corner, each column's tail as (-tail_from, -position), lowest last
+    tail_index: dict[Any, list[tuple[int, int]]] = {}
+    for j, (_, tails) in enumerate(work):
+        for tag, start in tails.items():
+            tail_index.setdefault(tag, []).append((-start, -j))
+    for tail_list in tail_index.values():
+        tail_list.sort()
 
     def entry(j: int, r: Row) -> Scalar | None:
         """The entry of column j on a row that is not a pivot row."""
@@ -300,8 +301,7 @@ def certified_eliminate(
 TL, TR, BL, BR = "TL", "TR", "BL", "BR"  # corner tags
 
 
-@dataclass(frozen=True)
-class SquareComplex:
+class SquareComplex(NamedTuple):
     """A filtration-truncated twisted de Rham square in one weight.
 
     Each basis element has one key, (corner, filtration degree).  The total
@@ -317,7 +317,8 @@ class SquareComplex:
 
     bl_in_span maps each BL key whose nabla_bot column is a known
     combination of the other d1 columns to its TL partner key (the square
-    identity applied to that top-left element).
+    identity applied to that top-left element); by default it is one shared
+    read-only empty mapping.
     """
 
     p: int
@@ -325,7 +326,7 @@ class SquareComplex:
     d0: dict[Row, Column]
     d1: dict[Row, Column]
     br: tuple[Row, ...]
-    bl_in_span: dict[Row, Row] = field(default_factory=dict)
+    bl_in_span: Mapping[Row, Row] = MappingProxyType({})
 
     def corner_sizes(self) -> tuple[int, int, int, int]:
         ntr = sum(corner == TR for corner, _ in self.d1)

@@ -21,7 +21,6 @@ forces exact vanishing (permanent-cycle representatives, see below).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import NamedTuple
 
 from .arith import Monomial, mono_str, require_prime
@@ -297,7 +296,7 @@ def mod_v1_square(p: int, i: int) -> SquareComplex:
     sq = _square(p, i, window)
     # at weight p-1 the square identity on E^i expresses the z^(p-1) column
     # through the right-hand columns, since nabla_bot(1) = 0 exactly
-    return replace(sq, bl_in_span={(BL, p - 1): (TL, p - 1)}) if i == p - 1 else sq
+    return sq._replace(bl_in_span={(BL, p - 1): (TL, p - 1)}) if i == p - 1 else sq
 
 
 def mod_v1_named_basis(p: int, i: int) -> tuple[NamedClass, ...]:

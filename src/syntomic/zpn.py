@@ -22,7 +22,7 @@ attempted (that rewrite has an unknown unit and a vanishing leading term).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import Monomial, f_degree, require_prime
 
@@ -44,8 +44,7 @@ def nygaard_truncation_bound(n: int, i: int) -> int:
     return n * i
 
 
-@dataclass(frozen=True)
-class StepWitness:
+class StepWitness(NamedTuple):
     """Step j: the element E^e z^s f_j, its can image z^k f_j and its phi
     image z^k f_(j+1), each monomial with f_exp = ((u, 1),)."""
 
@@ -87,8 +86,7 @@ def telescoping_step(p: int, n: int, j: int) -> StepWitness:
     )
 
 
-@dataclass(frozen=True)
-class VanishingCertificate:
+class VanishingCertificate(NamedTuple):
     p: int
     n: int
     weight: int

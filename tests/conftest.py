@@ -28,7 +28,7 @@ corner_degrees reads the degrees of one corner's basis off a square's keys.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import pytest
@@ -125,7 +125,7 @@ def with_map_entry(sq, name, k, series):
         {**{r: e for r, e in terms.items() if r[0] != target}, **new_terms},
         {**{t: s for t, s in tails.items() if t != target}, **new_tails},
     )
-    return replace(sq, **{diff: {**columns, (source, k): column}})
+    return sq._replace(**{diff: {**columns, (source, k): column}})
 
 
 # ------------------------------------------------- reference scalar algebra

@@ -78,6 +78,10 @@ NOT_COMBINED = (
 LOWER_ROW = (
     _LINALG + "test_a_lower_row_after_a_higher_one_reduces_only_the_tails_it_reaches"
 )
+RECORDS = _LINALG + "test_result_records_keep_their_shape"
+_IMPORTS = "tests/test_imports.py::"
+STARTUP = _IMPORTS + "test_the_cli_starts_without_dataclasses_or_inspect"
+UNUSED_IMPORT = _IMPORTS + "test_every_imported_name_is_used"
 _ZP = "tests/test_zp.py::"
 DUPLICATED_NAME = _ZP + "test_a_duplicated_named_class_is_refused"
 BEYOND_NO_ROW = _ZP + "test_truncation_rejects_a_beyond_term_with_no_row"
@@ -270,6 +274,24 @@ MUTANTS = (
         "lead = min((d for t, d in terms if t == tag), default=None)",
         "lead = next((d for t, d in terms if t == tag), None)",
         (TERM_ORDER,),
+    ),
+    # without the _make override, _replace builds a Monomial unvalidated
+    Mutant(
+        "monomial-replace-unvalidated",
+        "arith.py",
+        "    @classmethod\n"
+        "    def _make(cls, iterable) -> Monomial:\n"
+        "        return cls(*iterable)\n",
+        "",
+        (RECORDS,),
+    ),
+    # a record module that imports dataclasses again loads inspect at start-up
+    Mutant(
+        "dataclasses-imported-again",
+        "linalg.py",
+        "from bisect import bisect_left, insort\n",
+        "from bisect import bisect_left, insort\nfrom dataclasses import dataclass\n",
+        (STARTUP, UNUSED_IMPORT),
     ),
     Mutant(
         "witness-check-skipped",

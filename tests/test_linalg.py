@@ -2,7 +2,6 @@ import copy
 import itertools
 import random
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -39,9 +38,17 @@ from syntomic.linalg import (
     square_rows,
     verify_truncation,
 )
-from syntomic.ktheory import KTableRow
+from syntomic.arith import Monomial
+from syntomic.ktheory import (
+    KTableRow,
+    bound_comparison,
+    h2_basis,
+    k_even_table,
+    v1_nilpotence_order,
+)
 from syntomic.verifier import SampleReport, VerifierReport
 from syntomic.zp import NamedClass, build_zp_square, mod_v1_square, standard_cutoffs
+from syntomic.zpn import certify_vanishing
 
 PRIMES = (2, 3, 5, 7)
 
@@ -248,8 +255,8 @@ def test_term_order_carries_no_meaning():
         for s in (build_zp_square(p, i, 2) for p in (2, 3, 5) for i in range(3 * p))
     ]
     for sq, keys in cases:
-        flipped = replace(
-            sq, d0=_reversed_terms(sq.d0, keys), d1=_reversed_terms(sq.d1, keys)
+        flipped = sq._replace(
+            d0=_reversed_terms(sq.d0, keys), d1=_reversed_terms(sq.d1, keys)
         )
         for columns, flipped_columns, rows in zip(
             (sq.d0, sq.d1), (flipped.d0, flipped.d1), square_rows(sq)
@@ -872,8 +879,11 @@ def test_wide_random_graded_matrices_match_the_reference():
 
 
 def test_result_records_keep_their_shape():
-    # the per-call result records are named tuples with the fields, defaults
-    # and truth values they had as frozen dataclasses; no attribute can be set
+    # every result record is a named tuple with the fields, defaults and truth
+    # values it had as a frozen dataclass; no attribute can be set
+    cert = certify_vanishing(3, 3)
+    table = k_even_table(3, 2, 4)
+    square = SquareComplex(3, 0, {}, {}, ())
     elim = linalg.EliminationResult(CERTIFIED, 0, 0, (), ())
     rep = linalg.CohomologyReport(
         3, 0, INDETERMINATE, None, None, None, 0, (1, 0, 1, 0), elim, elim
@@ -887,6 +897,25 @@ def test_result_records_keep_their_shape():
         (KTableRow(0, True, "", "", ()), "i nonzero reason note axioms"),
         (SampleReport(4, 5, False), "passes total cross_checked"),
         (VerifierReport(False, (), ()), "ok checks errors"),
+        (Monomial(), "e_pow z_pow f_exp nabla twist"),
+        (square, "p weight d0 d1 br bl_in_span"),
+        (
+            cert.steps[0],
+            "j element can_image phi_image phi_unit fdeg_can fdeg_phi",
+        ),
+        (
+            cert,
+            "p n weight truncation target_z_pow steps termination_reason "
+            "termination_step termination_fdeg verified failures",
+        ),
+        (table.axioms[0], "ident statement used"),
+        (h2_basis(3, 2), "classes axioms"),
+        (table, "p n i_max rows axioms certificate"),
+        (v1_nilpotence_order(5, 2), "p n order homotopy_ring_valid"),
+        (
+            bound_comparison(3, 2),
+            "p n prior_vanishing_from sharp_last_nonzero",
+        ),
     ]
     for record, fields in shapes:
         assert record._fields == tuple(fields.split()), fields
@@ -898,7 +927,18 @@ def test_result_records_keep_their_shape():
         "EliminationResult": {"blocking": None},
         "CohomologyReport": {"generators": ()},
         "TruncationCheck": {"failing": None, "detail": ""},
+        "Monomial": {"e_pow": 0, "z_pow": 0, "f_exp": (), "nabla": False, "twist": 0},
+        "SquareComplex": {"bl_in_span": {}},
     }
+    # the one default mapping is shared by every square, so it is read-only
+    with pytest.raises(TypeError):
+        square.bl_in_span[("BL", 0)] = ("TL", 0)
+    # a monomial validates however it is built, _replace included
+    for bad in ({"e_pow": -1}, {"z_pow": -2}, {"f_exp": ((1, 1), (0, 1))}):
+        with pytest.raises(ValueError):
+            Monomial(**bad)
+        with pytest.raises(ValueError):
+            Monomial(z_pow=1, f_exp=((0, 1),))._replace(**bad)
     assert rep.dims == (None, None, None)
     # a status, ok flag or pass count decides the truth value, not the length
     assert elim and not elim._replace(status=INDETERMINATE)

@@ -1,7 +1,6 @@
 import hashlib
 import random
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -513,7 +512,7 @@ def _unit_weakened(sq):
             for key, (terms, tails) in columns.items()
         }
 
-    return replace(sq, d0=weak(sq.d0), d1=weak(sq.d1))
+    return sq._replace(d0=weak(sq.d0), d1=weak(sq.d1))
 
 
 def test_certification_reads_no_residue_value():

@@ -1,5 +1,4 @@
 import copy
-from dataclasses import replace
 
 import pytest
 
@@ -161,7 +160,7 @@ def test_every_producer_check_can_fail(corrupt, failures, monkeypatch):
     honest = zpn.telescoping_step
 
     def corrupted(p, n, k):
-        return replace(honest(p, n, k), **corrupt.get(k, {}))
+        return honest(p, n, k)._replace(**corrupt.get(k, {}))
 
     monkeypatch.setattr(zpn, "telescoping_step", corrupted)
     cert = certify_vanishing(3, 4)
