@@ -899,10 +899,7 @@ def test_result_records_keep_their_shape():
         (VerifierReport(False, (), ()), "ok checks errors"),
         (Monomial(), "e_pow z_pow f_exp nabla twist"),
         (square, "p weight d0 d1 br bl_in_span"),
-        (
-            cert.steps[0],
-            "j element can_image phi_image phi_unit fdeg_can fdeg_phi",
-        ),
+        (cert.steps[0], "j element can_image phi_image phi_unit fdeg_can fdeg_phi"),
         (
             cert,
             "p n weight truncation target_z_pow steps termination_reason "
@@ -912,10 +909,7 @@ def test_result_records_keep_their_shape():
         (h2_basis(3, 2), "classes axioms"),
         (table, "p n i_max rows axioms certificate"),
         (v1_nilpotence_order(5, 2), "p n order homotopy_ring_valid"),
-        (
-            bound_comparison(3, 2),
-            "p n prior_vanishing_from sharp_last_nonzero",
-        ),
+        (bound_comparison(3, 2), "p n prior_vanishing_from sharp_last_nonzero"),
     ]
     for record, fields in shapes:
         assert record._fields == tuple(fields.split()), fields
